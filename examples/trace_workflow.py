@@ -16,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 from repro import ReplayConfig, TraceReplayer
+from repro.obs import Tracer, render_summary
 from repro.traces import (
     APPLICATIONS,
     IOOp,
@@ -53,20 +54,19 @@ def main(out_dir: Path) -> None:
         )
 
     # 3. Show the per-request fault pattern for cholesky (Table 4's shape),
-    #    with instrumentation probes feeding an activity timeline.
+    #    with a tracer limited to the disk and cache/file-system layers.
     header, records = read_trace(paths["cholesky"])
+    tracer = Tracer(categories={"storage", "io"})
     result = TraceReplayer(
-        ReplayConfig(warmup=False, probe_categories=("disk", "cache"))
+        ReplayConfig(warmup=False, tracer=tracer)
     ).replay(header, records, "cholesky")
     print("\nCholesky per-request read times (buffer hits vs page faults):")
     for size, ms in result.rows_for(IOOp.READ):
         marker = "#" * min(60, max(1, int(ms * 4))) if ms > 0.05 else ""
         print(f"  {size:>8d} B {ms:>10.4f} ms {marker}")
 
-    from repro.sim.timeline import render_timeline
-
-    print("\nDisk/cache activity over the replay:")
-    print(render_timeline(result.probe, buckets=56))
+    print("\nDisk/cache/file-system spans over the replay:")
+    print(render_summary(tracer))
 
 
 if __name__ == "__main__":

@@ -109,13 +109,9 @@ class BufferCache:
         engine: Engine,
         device,
         params: Optional[CacheParams] = None,
-        probe=None,
     ) -> None:
-        from repro.sim.probe import NULL_PROBE
-
         self.engine = engine
         self.device = device
-        self.probe = probe if probe is not None else NULL_PROBE
         self.params = params or CacheParams()
         if self.params.page_size % device.block_size != 0:
             raise StorageError(
@@ -257,11 +253,6 @@ class BufferCache:
         The file's extent map may break the run into several physically
         contiguous fragments; each becomes one device request.
         """
-        if self.probe.enabled:
-            self.probe.record(
-                "cache", "demand fetch",
-                file=inode.file_id, first_page=first_page, npages=npages,
-            )
         tracer = self.engine.tracer
         started = self.engine.now if tracer.enabled else 0.0
         done = self._begin_fetch(inode, first_page, npages)
@@ -354,11 +345,6 @@ class BufferCache:
         for run_start, run_len in runs:
             # Register in-flight *now* so demand reads and repeated
             # prefetch calls see these pages immediately.
-            if self.probe.enabled:
-                self.probe.record(
-                    "cache", "prefetch",
-                    file=inode.file_id, first_page=run_start, npages=run_len,
-                )
             if tracer.enabled:
                 tracer.instant("cache.prefetch", "io", file=inode.file_id,
                                first_page=run_start, npages=run_len)
@@ -520,12 +506,6 @@ class BufferCache:
         victim_state = self._pages.pop(victim_key)
         self._drop_from_indexes(victim_key)
         self.stats.evictions += 1
-        if self.probe.enabled:
-            self.probe.record(
-                "cache", "evict",
-                file=victim_key[0], page=victim_key[1],
-                dirty=victim_state is PageState.DIRTY,
-            )
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.instant("cache.evict", "io", file=victim_key[0],

@@ -41,9 +41,8 @@ from repro.obs.report import (
 
 
 def _check_top(top: int) -> int:
-    """``--top`` must be positive (matches the ``Probe.render`` limit
-    contract: a non-positive limit renders nothing, which as CLI
-    output is never what anyone wants)."""
+    """``--top`` must be positive: a non-positive limit renders
+    nothing, which as CLI output is never what anyone wants."""
     if top <= 0:
         print(f"error: --top must be >= 1, got {top}", file=sys.stderr)
         return 2

@@ -7,8 +7,7 @@ the paper's measurements need:
 
 * **span** — an interval with a name, category, start/end times,
   structured attributes, and an optional parent link (nesting);
-* **instant** — a point event (a probe record, an eviction, a
-  prefetch issue);
+* **instant** — a point event (an eviction, a prefetch issue);
 * **counter** — a sampled numeric series (queue depths, residency).
 
 Components never hold a tracer directly: they reach it through
@@ -172,8 +171,7 @@ class NullTracer:
     """Tracer that records nothing (the default everywhere).
 
     Stateless and shared (:data:`NULL_TRACER`); every method is a
-    no-op, so instrumentation is zero-cost when disabled — the same
-    pattern as :class:`repro.sim.probe.NullProbe`.
+    no-op, so instrumentation is zero-cost when disabled.
     """
 
     __slots__ = ()
@@ -220,8 +218,7 @@ class Tracer:
         Maximum retained events (oldest dropped beyond it, counted in
         :attr:`dropped`); ``None`` = unbounded.
     categories:
-        If given, only events in these categories are recorded (the
-        same opt-in filtering :class:`~repro.sim.probe.Probe` offers).
+        If given, only events in these categories are recorded.
 
     The tracer reads time from whichever engine it was last
     :meth:`attach`-ed to; before any attachment the clock reads 0.0.

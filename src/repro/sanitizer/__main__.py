@@ -29,9 +29,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     names: Optional[List[str]] = args.invariant or None
     try:
         violations = check_trace_file(args.trace, names)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, ReproError) as exc:
         print(f"error: cannot check {args.trace}: {exc}", file=sys.stderr)
         return 2

@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.errors import SanitizerError
+
 __all__ = [
     "INVARIANTS",
     "Violation",
@@ -227,7 +229,7 @@ def check_events(events: Iterable, names: Optional[List[str]] = None
     selected = list(INVARIANTS) if names is None else names
     for name in selected:
         if name not in INVARIANTS:
-            raise KeyError(
+            raise SanitizerError(
                 f"unknown invariant {name!r}; choices: {sorted(INVARIANTS)}")
     machines: Dict[int, List[_Invariant]] = {}
     for event in events:

@@ -29,7 +29,6 @@ import numpy as np
 from repro.errors import DiskError, DiskFailedError, MediaError
 from repro.sim import Counter, Engine, Tally, TimeWeighted
 from repro.sim.event import Event
-from repro.sim.probe import NULL_PROBE
 from repro.storage.geometry import DiskGeometry
 from repro.storage.request import IORequest
 from repro.storage.scheduler import DiskScheduler, make_scheduler
@@ -115,7 +114,6 @@ class Disk:
         scheduler: "str | DiskScheduler" = "fcfs",
         rng: Optional[np.random.Generator] = None,
         name: str = "disk",
-        probe=NULL_PROBE,
         injector=None,
     ) -> None:
         self.engine = engine
@@ -126,7 +124,6 @@ class Disk:
         self.scheduler: DiskScheduler = scheduler
         self._rng = rng
         self.name = name
-        self.probe = probe
 
         self._head_cylinder = 0
         self._last_end_lba: Optional[int] = None
@@ -188,12 +185,6 @@ class Disk:
         request.submitted_at = self.engine.now
         done = self.engine.event()
         self._completions[request.request_id] = done
-        if self.probe.enabled:
-            self.probe.record(
-                "disk", f"{self.name} submit",
-                id=request.request_id, lba=request.lba,
-                nblocks=request.nblocks, write=request.is_write,
-            )
         self.scheduler.push(request)
         tracer = self.engine.tracer
         if tracer.enabled:
@@ -363,14 +354,6 @@ class Disk:
                 )
                 tracer.counter(f"{self.name}.queue", "storage",
                                len(self.scheduler))
-            if self.probe.enabled:
-                self.probe.record(
-                    "disk", f"{self.name} complete",
-                    id=request.request_id,
-                    service_ms=round(request.service_time * 1e3, 4),
-                    response_ms=round(request.response_time * 1e3, 4),
-                )
-
             done.succeed(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -31,7 +31,7 @@ from repro.sim import Counter
 from repro.webserver.architecture import ServerHost
 from repro.webserver.handlers import Connection
 
-__all__ = ["WebServerConfig", "ThreadPerConnectionServer", "WebServer",
+__all__ = ["WebServerConfig", "ThreadPerConnectionServer",
            "build_handler_methods"]
 
 
@@ -214,8 +214,3 @@ class ThreadPerConnectionServer(ServerHost):
             self._threads.append(thread)
             self.threads_spawned.add()
             self._note_dispatch()
-
-
-#: Historical name: the paper's server was the only one before the
-#: event-driven architecture landed.
-WebServer = ThreadPerConnectionServer

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SanitizerError
 from repro.sanitizer.invariants import INVARIANTS, Violation, check_events
 
 
@@ -152,7 +153,7 @@ def test_violations_sorted_and_selection_enforced():
     violations = check_events(events)
     assert [(v.pid, v.invariant) for v in violations] == [
         (0, "eject_readmit_monotonic"), (1, "replicate_before_ack")]
-    with pytest.raises(KeyError):
+    with pytest.raises(SanitizerError):
         check_events(events, ["not_an_invariant"])
 
 

@@ -44,6 +44,16 @@ def test_lint_ignores_non_python_fences(tmp_path):
     assert check_docs.check_imports(doc, doc.read_text()) == []
 
 
+def test_lint_catches_command_naming_missing_module(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "```bash\npython -m repro.nope --flag\npython -m repro.obs gate\n```\n"
+    )
+    problems = check_docs.check_commands(doc, doc.read_text())
+    assert len(problems) == 1
+    assert "'repro.nope'" in problems[0]
+
+
 def test_lint_catches_undocumented_package(tmp_path):
     src = tmp_path / "src"
     (src / "repro" / "ghostpkg").mkdir(parents=True)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TraceError
+from repro.obs import Tracer
 from repro.traces import (
     IOOp,
     ReplayConfig,
@@ -143,24 +144,12 @@ def test_rows_for_uses_length_for_reads_and_offset_for_seeks():
     assert all(size == 524288 for size, _ in read_rows)
 
 
-def test_probe_categories_attach_instrumentation():
+def test_category_filtered_tracer_records_only_those_layers():
     h, recs = generate_cholesky()
-    cfg = small_config(probe_categories=("disk", "cache"))
-    res = TraceReplayer(cfg).replay(h, recs, "cholesky")
-    assert res.probe is not None
-    assert len(res.probe) > 0
-    categories = {e.category for e in res.probe.entries}
-    assert categories <= {"disk", "cache"}
-    # A timeline can be rendered straight from the result.
-    from repro.sim.timeline import render_timeline
-
-    assert "timeline:" in render_timeline(res.probe, buckets=20)
-
-
-def test_probe_off_by_default():
-    h, recs = generate_cholesky()
-    res = TraceReplayer(small_config()).replay(h, recs)
-    assert res.probe is None
+    tracer = Tracer(categories={"storage", "io"})
+    TraceReplayer(small_config(tracer=tracer)).replay(h, recs, "cholesky")
+    assert len(tracer) > 0
+    assert tracer.categories_seen() == ["io", "storage"]
 
 
 def test_prefetch_policy_config_applied():

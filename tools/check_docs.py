@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs lint: keep the Markdown honest.
 
-Three checks over ``README.md``, ``docs/*.md`` and the other top-level
+Four checks over ``README.md``, ``docs/*.md`` and the other top-level
 Markdown files:
 
 1. **Links** — every relative (intra-repo) Markdown link target must
@@ -11,7 +11,11 @@ Markdown files:
    line inside a fenced ``python`` code block must resolve: the module
    must import and each imported name must exist on it.  Docs that
    mention modules or symbols that were renamed away fail here.
-3. **Package coverage** — every top-level package under ``src/repro``
+3. **Commands** — every ``python -m repro...`` command inside any
+   fenced code block must name a module that exists
+   (``importlib.util.find_spec``), so a doc cannot keep telling readers
+   to run a deleted module.
+4. **Package coverage** — every top-level package under ``src/repro``
    must be referenced (as ``repro.<name>``) from at least one
    ``docs/*.md`` page, so no subsystem ships undocumented.  (This is
    the lint that would have caught ``repro.webserver`` having no page
@@ -24,6 +28,7 @@ Run directly (``python tools/check_docs.py``) or via the test suite
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -47,6 +52,7 @@ _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 _IMPORT_RE = re.compile(
     r"^\s*(?:from\s+(repro[\w.]*)\s+import\s+([\w.,\s()]+)|import\s+(repro[\w.]*))"
 )
+_COMMAND_RE = re.compile(r"\bpython3?\s+-m\s+(repro(?:\.\w+)*)")
 
 
 def iter_links(text: str) -> Iterator[Tuple[int, str]]:
@@ -56,15 +62,23 @@ def iter_links(text: str) -> Iterator[Tuple[int, str]]:
             yield lineno, match.group(1)
 
 
-def iter_python_fences(text: str) -> Iterator[Tuple[int, str]]:
-    """Yield ``(lineno, line)`` for each line inside a python fence."""
-    in_python = False
+def iter_fences(text: str) -> Iterator[Tuple[int, str, str]]:
+    """Yield ``(lineno, language, line)`` for each line inside a fenced
+    code block (``language`` is ``""`` for a bare fence)."""
+    language = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         fence = _FENCE_RE.match(line)
         if fence:
-            in_python = not in_python and fence.group(1) in ("python", "py")
+            language = fence.group(1) if language is None else None
             continue
-        if in_python:
+        if language is not None:
+            yield lineno, language, line
+
+
+def iter_python_fences(text: str) -> Iterator[Tuple[int, str]]:
+    """Yield ``(lineno, line)`` for each line inside a python fence."""
+    for lineno, language, line in iter_fences(text):
+        if language in ("python", "py"):
             yield lineno, line
 
 
@@ -127,6 +141,26 @@ def check_imports(doc: Path, text: str) -> List[str]:
     return problems
 
 
+def _module_exists(module: str) -> bool:
+    try:
+        return importlib.util.find_spec(module) is not None
+    except ImportError:  # a parent package is missing
+        return False
+
+
+def check_commands(doc: Path, text: str) -> List[str]:
+    problems = []
+    for lineno, _language, line in iter_fences(text):
+        for match in _COMMAND_RE.finditer(line):
+            module = match.group(1)
+            if not _module_exists(module):
+                problems.append(
+                    f"{_rel(doc)}:{lineno}: command names missing module "
+                    f"{module!r}"
+                )
+    return problems
+
+
 def top_level_packages(src_root: Path) -> List[str]:
     """Top-level package names under ``{src_root}/repro`` (directories
     containing an ``__init__.py``)."""
@@ -172,6 +206,7 @@ def run_checks() -> List[str]:
         text = doc.read_text(encoding="utf-8")
         problems.extend(check_links(doc, text))
         problems.extend(check_imports(doc, text))
+        problems.extend(check_commands(doc, text))
     problems.extend(
         check_package_coverage(REPO_ROOT / "src", REPO_ROOT / "docs")
     )
