@@ -1,8 +1,8 @@
 """Control-flow graph over CIL method bodies.
 
-The CFG is the substrate every pass (and the analysis-backed JIT gate)
-consumes: basic blocks, normal and **exception** edges, dominators and
-reachability.  Block boundaries follow the classic leader rule —
+The CFG is the substrate every pass consumes: basic blocks, normal
+and **exception** edges, dominators and reachability.  Block
+boundaries follow the classic leader rule —
 entry, branch targets, fall-through points after conditional branches,
 and protected-region handler entries all start blocks; ``ret``,
 ``throw`` and unconditional branches end them.

@@ -8,9 +8,7 @@ slot, plus the init state and type of every local and argument.
 The flow mirrors the verifier and the template JIT exactly — same
 successor relation, same unconditional handler seeding (stack cleared,
 exception object pushed) — so "reachable" here means *compiled* by
-:mod:`repro.cli.jitcompile`, which is what lets the analysis-backed
-``native_eligible`` gate reason about conv/call safety per reachable
-pc instead of syntactically over the whole body.
+:mod:`repro.cli.jitcompile`.
 
 The analysis runs in two phases so every fact reflects the fixpoint,
 not a transient state of the iteration:

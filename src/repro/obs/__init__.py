@@ -53,12 +53,12 @@ from repro.obs.export import (
     write_series_jsonl,
 )
 from repro.obs.analysis import PathStep, TraceAnalysis, analyze
+from repro.obs.layers import layer_of
 from repro.obs.slo import AlertRule, SloEvaluator, SloSpec
 from repro.obs.timeseries import (
     Telemetry,
     TelemetryConfig,
     TelemetrySampler,
-    metric_layer,
 )
 from repro.obs.report import (
     GateFinding,
@@ -95,7 +95,7 @@ __all__ = [
     "Telemetry",
     "TelemetryConfig",
     "TelemetrySampler",
-    "metric_layer",
+    "layer_of",
     "write_series_jsonl",
     "read_series_jsonl",
     "analysis_to_dict",

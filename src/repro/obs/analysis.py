@@ -32,39 +32,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
+from repro.obs.layers import layer_of
 from repro.obs.tracer import TraceEvent, Tracer, _collapse
 
-__all__ = ["TraceAnalysis", "PathStep", "analyze", "layer_of", "percentiles"]
-
-#: Span-name prefix → architectural layer (first match wins); spans
-#: with no matching prefix fall back to their category.
-_LAYER_PREFIXES: Tuple[Tuple[str, str], ...] = (
-    ("disk.", "disk"),
-    ("cache.", "cache"),
-    ("fs.", "filesystem"),
-    ("stream.", "filesystem"),
-    ("jit.", "jit"),
-    ("http.", "webserver"),
-    ("replay.", "replay"),
-    ("cluster.", "cluster"),
-    ("lb.", "cluster"),
-    ("node.", "cluster"),
-    ("rebalance.", "cluster"),
-    ("failover", "cluster"),
-    ("process:", "sim"),
-    ("engine.", "sim"),
-)
-
-_LAYER_CATEGORIES = {
-    "storage": "disk",
-    "io": "filesystem",
-    "jit": "jit",
-    "webserver": "webserver",
-    "replay": "replay",
-    "net": "network",
-    "cluster": "cluster",
-    "sim": "sim",
-}
+__all__ = ["TraceAnalysis", "PathStep", "analyze", "percentiles"]
 
 #: Default percentiles reported throughout.
 QUANTILES: Tuple[int, ...] = (50, 90, 99)
@@ -72,15 +43,6 @@ QUANTILES: Tuple[int, ...] = (50, 90, 99)
 #: Op families tried (in order) when picking spans for the
 #: directly-follows graph: the first prefix with >= 2 spans wins.
 DFG_PREFIX_CANDIDATES: Tuple[str, ...] = ("replay.", "fs.", "http.", "disk.")
-
-
-def layer_of(name: str, category: str = "") -> str:
-    """Architectural layer of a span, from its name prefix (falling
-    back to the category, then ``"other"``)."""
-    for prefix, layer in _LAYER_PREFIXES:
-        if name.startswith(prefix):
-            return layer
-    return _LAYER_CATEGORIES.get(category, category or "other")
 
 
 def percentiles(values: Sequence[float], qs: Sequence[int] = QUANTILES,

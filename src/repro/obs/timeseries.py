@@ -26,7 +26,8 @@ window where they fired.
 Labels travel with every record: registry labels (``device=``,
 ``server=``, ``architecture=``), sampler-level labels (``node=`` for
 the cluster item), and a derived ``layer`` label from
-:func:`metric_layer` so series group the same way trace analysis does.
+:func:`~repro.obs.layers.layer_of` so series group the same way trace
+analysis does.
 """
 
 from __future__ import annotations
@@ -37,60 +38,17 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.obs.analysis import QUANTILES, percentiles
+from repro.obs.layers import layer_of
 from repro.obs.slo import AlertRule, SloEvaluator
 
 __all__ = [
     "TelemetryConfig",
     "TelemetrySampler",
     "Telemetry",
-    "metric_layer",
 ]
 
 SERIES_SCHEMA = "repro.obs.timeseries"
 SERIES_VERSION = 1
-
-#: Metric-name prefix → architectural layer (first match wins).
-#: Mirrors the span-side table in :mod:`repro.obs.analysis`, but over
-#: registry metric names instead of span names.
-_LAYER_PREFIXES: Tuple[Tuple[str, str], ...] = (
-    ("cache.", "cache"),
-    ("fs.", "filesystem"),
-    ("stream.", "filesystem"),
-    ("prefetch.", "filesystem"),
-    ("heap.", "vm"),
-    ("interp.", "vm"),
-    ("runtime.", "vm"),
-    ("jit.", "jit"),
-    ("server.", "webserver"),
-    ("webserver.", "webserver"),
-    ("faults.", "resilience"),
-    ("retry.", "resilience"),
-    ("workload.", "client"),
-    ("cluster.", "cluster"),
-    ("lb.", "cluster"),
-)
-
-
-def metric_layer(name: str, labels: Optional[Dict[str, Any]] = None) -> str:
-    """Architectural layer of a registry metric.
-
-    Registry labels win over name prefixes: anything labeled with a
-    ``device`` is the disk layer regardless of the device's name
-    (disks register under their instance name, e.g. ``ssd0.service``),
-    and a ``server`` label marks the webserver layer.
-    """
-    if labels:
-        if "device" in labels:
-            return "disk"
-        if "server" in labels:
-            return "webserver"
-    for prefix, layer in _LAYER_PREFIXES:
-        if name.startswith(prefix):
-            return layer
-    if ".retry." in name or name.endswith(".retries"):
-        return "resilience"
-    return "other"
-
 
 @dataclass(frozen=True)
 class TelemetryConfig:
@@ -235,7 +193,7 @@ class TelemetrySampler:
                 }
                 labels = dict(registry.labels_of(name))
                 labels.update(self.labels)
-                labels["layer"] = metric_layer(name, registry.labels_of(name))
+                labels["layer"] = layer_of(name, labels=registry.labels_of(name))
                 record["labels"] = labels
                 samples.append(record)
         self.records.extend(samples)

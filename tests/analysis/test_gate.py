@@ -1,20 +1,16 @@
-"""The analysis-backed JIT eligibility gate.
+"""The JIT eligibility gate.
 
-Contract: the syntactic gate's accepted set is a strict subset of the
-analysis gate's — analysis additionally admits methods whose only
-unsupported instructions are dead code the template compiler skips.
+Contract: ``native_eligible`` scans every instruction of a verified
+body, dead code included, and ``JitCompiler.native_for`` returns no
+closure for a rejected method — which then runs, with the same result,
+on the interpreter tier.
 """
 
-import pytest
-
-from repro.analysis.targets import BUNDLED, bundled_assembly
 from repro.cli import CliRuntime
 from repro.cli.cil import Instruction, Op
-from repro.cli.jit import JitCompiler
 from repro.cli.jitcompile import native_eligible
 from repro.cli.metadata import MethodDef
 from repro.cli.verifier import verify_method
-from repro.errors import JitError
 from repro.sim import Engine
 
 
@@ -34,24 +30,12 @@ def dead_junk_method():
     return m
 
 
-def every_bundled_method():
-    for name in sorted(BUNDLED):
-        asm = bundled_assembly(name)
-        for tname in sorted(asm.types):
-            for mname in sorted(asm.types[tname].methods):
-                yield asm.types[tname].methods[mname]
-
-
-def test_differential_syntactic_subset_of_analysis():
-    for method in every_bundled_method():
-        if native_eligible(method):
-            assert native_eligible(method, gate="analysis"), method.full_name
-
-
-def test_analysis_gate_is_strictly_more_permissive():
-    m = dead_junk_method()
+def assert_rejected(m):
+    """Both the eligibility check and the runtime's compile path
+    decline ``m``."""
     assert not native_eligible(m)
-    assert native_eligible(m, gate="analysis")
+    rt = CliRuntime(Engine())
+    assert rt.jit.native_for(m, rt.interpreter.params) is None
 
 
 def test_reachable_junk_rejected_by_both_gates():
@@ -61,55 +45,38 @@ def test_reachable_junk_rejected_by_both_gates():
         Instruction(Op.RET),
     ], returns=True)
     verify_method(m)
-    assert not native_eligible(m)
-    assert not native_eligible(m, gate="analysis")
+    assert_rejected(m)
 
 
 def test_unverified_method_rejected_by_both_gates():
     m = MethodDef("NoVerify", [Instruction(Op.RET)])
     assert m.max_stack is None
-    assert not native_eligible(m)
-    assert not native_eligible(m, gate="analysis")
+    assert_rejected(m)
 
 
-def test_unknown_gate_name_raises():
-    m = dead_junk_method()
-    with pytest.raises(ValueError, match="unknown gate"):
-        native_eligible(m, gate="psychic")
+def test_dead_code_compiles_and_matches_interpreter():
+    """Dead code the gate accepts is skipped by the template compiler;
+    junk dead code keeps the method on the interpreter tier.  Both
+    return what the pure interpreter returns."""
+    junk = dead_junk_method()
+    assert_rejected(junk)
+    clean = MethodDef("DeadClean", [
+        Instruction(Op.LDC, 7),            # 0
+        Instruction(Op.BR, 4),             # 1 -> ret
+        Instruction(Op.LDC, 1),            # 2 unreachable
+        Instruction(Op.POP),               # 3 unreachable
+        Instruction(Op.RET),               # 4
+    ], returns=True)
+    verify_method(clean)
+    assert native_eligible(clean)
 
+    for m in (junk, clean):
+        rt_native = CliRuntime(Engine())
+        native_result = rt_native.engine.run_process(rt_native.invoke(m))
 
-def test_analysis_gated_compile_runs_correctly():
-    """A method only the analysis gate admits compiles and returns the
-    same value the interpreter produces."""
-    m = dead_junk_method()
+        rt_interp = CliRuntime(Engine())
+        rt_interp.jit.native_enabled = False
+        interp_result = rt_interp.engine.run_process(rt_interp.invoke(m))
 
-    rt_native = CliRuntime(Engine())
-    rt_native.jit.gate = "analysis"
-    assert rt_native.jit.native_for(m, rt_native.interpreter.params) is not None
-    native_result = rt_native.engine.run_process(rt_native.invoke(m))
-
-    rt_interp = CliRuntime(Engine())
-    rt_interp.jit.native_enabled = False
-    interp_result = rt_interp.engine.run_process(rt_interp.invoke(m))
-
-    assert native_result == interp_result == 7
-
-
-def test_jitcompiler_gate_knob(monkeypatch):
-    engine = Engine()
-    assert JitCompiler(engine).gate == "syntactic"
-    assert JitCompiler(Engine(), gate="analysis").gate == "analysis"
-    monkeypatch.setenv("REPRO_JIT_GATE", "analysis")
-    assert JitCompiler(Engine()).gate == "analysis"
-    monkeypatch.setenv("REPRO_JIT_GATE", "bogus")
-    with pytest.raises(JitError, match="unknown JIT gate"):
-        JitCompiler(Engine())
-
-
-def test_gate_is_part_of_native_cache_key():
-    m = dead_junk_method()
-    rt = CliRuntime(Engine())
-    rt.jit.gate = "syntactic"
-    assert rt.jit.native_for(m, rt.interpreter.params) is None
-    rt.jit.gate = "analysis"
-    assert rt.jit.native_for(m, rt.interpreter.params) is not None
+        assert native_result == interp_result == 7, m.name
+    assert rt_native.jit.native_for(clean, rt_native.interpreter.params) is not None

@@ -1,8 +1,8 @@
-"""Tests for the experiment registry and the fast experiments.
+"""Tests for the experiment registry and the experiments' structure.
 
-(The slower figure experiments are exercised end-to-end by the
-benchmarks/ suite; here we cover registry behaviour and the cheap
-table experiments' structure.)
+The paper's shape claims over the experiments' rows live in
+``test_paper_claims.py``; here we cover registry behaviour and the
+table experiments' structure.
 """
 
 import pytest
@@ -12,6 +12,7 @@ from repro.bench.experiments.extensions import run_ext_comm, run_ext_vm
 from repro.bench.experiments.tab5_tab6_webserver import run_tab5, run_tab6
 from repro.bench.experiments.tables_traces import run_tab3, run_tab4
 from repro.errors import BenchmarkError
+from repro.traces.generator.lu import LU_SEEK_OFFSETS
 
 
 def test_registry_covers_every_paper_artifact():
@@ -52,8 +53,9 @@ def test_unknown_experiment_rejected():
 def test_tab3_structure():
     result = run_tab3()
     assert result.exp_id == "tab3"
-    assert len(result.rows) == 6
     assert result.column("data_size_bytes")[0] == 66617088
+    # All six published seek targets reproduced, in order.
+    assert result.column("data_size_bytes") == list(LU_SEEK_OFFSETS)
 
 
 def test_tab4_structure():

@@ -218,7 +218,6 @@ def test_unverified_method_is_ineligible():
     m = MethodBuilder("m", returns=True).ldc(1).ret().build()
     m.max_stack = None
     assert not native_eligible(m)
-    assert not native_eligible(m, gate="analysis")
 
 
 @pytest.mark.parametrize("operand", [
@@ -237,7 +236,6 @@ def test_malformed_call_tuple_is_ineligible_not_an_error(operand):
     ])
     m.max_stack = 1  # pretend-verified so only the operand shape gates
     assert not native_eligible(m)
-    assert not native_eligible(m, gate="analysis")
     assert native_source(m, None) is None
 
 
@@ -250,7 +248,6 @@ def test_unknown_conv_kinds_are_ineligible_not_errors(kind):
     ], returns=True)
     m.max_stack = 1
     assert not native_eligible(m)
-    assert not native_eligible(m, gate="analysis")
 
 
 def test_non_string_ldstr_is_ineligible_not_an_error():
@@ -261,7 +258,6 @@ def test_non_string_ldstr_is_ineligible_not_an_error():
     ])
     m.max_stack = 1
     assert not native_eligible(m)
-    assert not native_eligible(m, gate="analysis")
 
 
 def test_ineligible_method_still_runs_on_interpreter_tier():

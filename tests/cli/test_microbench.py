@@ -37,9 +37,10 @@ def test_branch_kernel_specific_value():
 
 def test_alloc_kernel_triggers_gc():
     # 300 arrays of up to 299 elements * 8 B ≈ 360 KB > 256 KB gen-0.
-    r = run_kernel("alloc", n=300)
-    assert r.correct
-    assert r.gc_collections >= 1
+    for n in (300, 400):
+        r = run_kernel("alloc", n=n)
+        assert r.correct, n
+        assert r.gc_collections >= 1, n
 
 
 def test_call_kernel_costs_more_than_arith():

@@ -10,13 +10,12 @@ from repro.model import (
     Program,
     WorkingSet,
     build_qcrd,
-    cpu_speedup_study,
-    disk_speedup_study,
     predict_application_time,
     predict_program_time,
     predict_speedup,
     speedup_bound,
 )
+from repro.model.speedup import PAPER_COUNTS
 
 
 def simple_program(phi=0.5, gamma=0.0, total=10.0, name="p"):
@@ -66,18 +65,19 @@ def test_qcrd_bounds_match_paper_story():
     assert 2.0 < speedup_bound(app, "cpus") < 2.6
 
 
-def test_simulation_tracks_prediction_within_tolerance():
+def test_simulation_tracks_prediction_within_tolerance(
+    qcrd_disk_speedups, qcrd_cpu_speedups
+):
     """The validation the paper does against the real QCRD: simulated
-    speedups within ~10% of the model's closed form."""
+    speedups within ~10% of the model's closed form, at every count of
+    EXPERIMENTS.md "Figure 4" and "Figure 5"."""
     app = build_qcrd()
-    counts = (2, 8)
-    for resource, study in (
-        ("disks", disk_speedup_study),
-        ("cpus", cpu_speedup_study),
+    for resource, simulated in (
+        ("disks", qcrd_disk_speedups),
+        ("cpus", qcrd_cpu_speedups),
     ):
-        simulated = study(app, counts=counts)
-        predicted = predict_speedup(app, resource, counts)
-        for n in counts:
+        predicted = predict_speedup(app, resource, PAPER_COUNTS)
+        for n in PAPER_COUNTS:
             assert simulated[n] == pytest.approx(predicted[n], rel=0.10), (
                 resource,
                 n,

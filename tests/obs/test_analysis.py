@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.obs import TraceEvent, Tracer, analyze, read_jsonl, write_jsonl
-from repro.obs.analysis import layer_of, percentiles
+from repro.obs.analysis import percentiles
+from repro.obs.layers import layer_of
 
 
 def _ev(kind, name, cat, start, end, span_id, parent=None, pid=1, tid=0,

@@ -9,7 +9,6 @@ from repro.obs import (
     Telemetry,
     TelemetryConfig,
     TelemetrySampler,
-    metric_layer,
     read_series_jsonl,
     write_series_jsonl,
 )
@@ -30,20 +29,6 @@ def _engine_with_metrics():
 def _run(eng, proc):
     eng.process(proc)
     eng.run()
-
-
-# -- layer derivation --------------------------------------------------------
-
-def test_metric_layer_prefixes_and_labels():
-    assert metric_layer("cache.stats") == "cache"
-    assert metric_layer("fs.ops") == "filesystem"
-    assert metric_layer("heap.used") == "vm"
-    assert metric_layer("jit.compiles") == "jit"
-    assert metric_layer("retry.retries") == "resilience"
-    assert metric_layer("unknown.thing") == "other"
-    # Registry labels outrank name prefixes.
-    assert metric_layer("ssd0.service", {"device": "ssd0"}) == "disk"
-    assert metric_layer("latency", {"server": "localhost"}) == "webserver"
 
 
 # -- sampler windows ---------------------------------------------------------

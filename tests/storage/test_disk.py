@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import DiskError
 from repro.sim import Engine
-from repro.storage import Disk, DiskGeometry, DiskParams, IORequest
+from repro.storage import SCHEDULERS, Disk, DiskGeometry, DiskParams, IORequest
 
 
 SMALL_GEO = DiskGeometry(cylinders=100, heads=2, sectors_per_track=10)
@@ -139,6 +139,21 @@ def test_statistics_accumulate():
     assert d.bytes_written.value == 2 * 512
     assert d.service_times.count == 2
     assert d.response_times.count == 2
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+def test_every_scheduler_completes_a_backlog(scheduler):
+    """Work conservation holds regardless of policy."""
+    eng = Engine()
+    geo = DiskGeometry(cylinders=20_000, heads=4, sectors_per_track=200)
+    d = make_disk(eng, geometry=geo, scheduler=scheduler)
+    events = [d.submit_range(i * 1000, 4) for i in range(50)]
+
+    def waiter():
+        yield eng.all_of(events)
+
+    eng.run_process(waiter())
+    assert d.requests_completed.value == 50
 
 
 def test_queued_request_response_includes_waiting():

@@ -54,6 +54,23 @@ def test_lint_catches_command_naming_missing_module(tmp_path):
     assert "'repro.nope'" in problems[0]
 
 
+def test_lint_catches_pytest_naming_missing_path(tmp_path):
+    (tmp_path / "tests" / "bench").mkdir(parents=True)
+    (tmp_path / "tests" / "bench" / "test_x.py").write_text("")
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "```bash\n"
+        "pytest benchmarks/ --benchmark-only\n"
+        "PYTHONPATH=src python -m pytest -x -q -k fig tests/bench/test_x.py::test_y\n"
+        "pip install pytest hypothesis\n"
+        "```\n"
+        "pytest nowhere/ outside a fence is prose\n"
+    )
+    problems = check_docs.check_pytest_paths(doc, doc.read_text(), root=tmp_path)
+    assert len(problems) == 1
+    assert "'benchmarks/'" in problems[0]
+
+
 def test_lint_catches_undocumented_package(tmp_path):
     src = tmp_path / "src"
     (src / "repro" / "ghostpkg").mkdir(parents=True)

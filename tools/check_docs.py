@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs lint: keep the Markdown honest.
 
-Four checks over ``README.md``, ``docs/*.md`` and the other top-level
+Five checks over ``README.md``, ``docs/*.md`` and the other top-level
 Markdown files:
 
 1. **Links** — every relative (intra-repo) Markdown link target must
@@ -15,7 +15,10 @@ Markdown files:
    fenced code block must name a module that exists
    (``importlib.util.find_spec``), so a doc cannot keep telling readers
    to run a deleted module.
-4. **Package coverage** — every top-level package under ``src/repro``
+4. **Test paths** — every ``pytest <path>`` command inside any fenced
+   code block must name paths that exist (relative to the repo root),
+   so a doc cannot keep pointing at a deleted test tree.
+5. **Package coverage** — every top-level package under ``src/repro``
    must be referenced (as ``repro.<name>``) from at least one
    ``docs/*.md`` page, so no subsystem ships undocumented.  (This is
    the lint that would have caught ``repro.webserver`` having no page
@@ -53,6 +56,13 @@ _IMPORT_RE = re.compile(
     r"^\s*(?:from\s+(repro[\w.]*)\s+import\s+([\w.,\s()]+)|import\s+(repro[\w.]*))"
 )
 _COMMAND_RE = re.compile(r"\bpython3?\s+-m\s+(repro(?:\.\w+)*)")
+#: A pytest invocation at command position (after optional ``VAR=val``
+#: assignments and ``python -m``); group 1 is its argument list.
+_PYTEST_RE = re.compile(
+    r"(?:^|&&|;)\s*(?:\w+=\S*\s+)*(?:python3?\s+-m\s+)?pytest((?:\s+[^\s&;|#]+)*)"
+)
+#: pytest options whose value is the next argument, not a path.
+_PYTEST_VALUE_OPTIONS = {"-k", "-m", "-p", "-o", "-c", "--durations"}
 
 
 def iter_links(text: str) -> Iterator[Tuple[int, str]]:
@@ -161,6 +171,32 @@ def check_commands(doc: Path, text: str) -> List[str]:
     return problems
 
 
+def iter_pytest_paths(line: str) -> Iterator[str]:
+    """Yield each path argument of a pytest command on ``line``
+    (``::node`` suffixes stripped)."""
+    for match in _PYTEST_RE.finditer(line):
+        args = match.group(1).split()
+        skip = False
+        for arg in args:
+            if skip:
+                skip = False
+            elif arg in _PYTEST_VALUE_OPTIONS:
+                skip = True
+            elif not arg.startswith("-"):
+                yield arg.split("::", 1)[0]
+
+
+def check_pytest_paths(doc: Path, text: str, root: Path = REPO_ROOT) -> List[str]:
+    problems = []
+    for lineno, _language, line in iter_fences(text):
+        for path in iter_pytest_paths(line):
+            if not (root / path).exists():
+                problems.append(
+                    f"{_rel(doc)}:{lineno}: pytest names missing path {path!r}"
+                )
+    return problems
+
+
 def top_level_packages(src_root: Path) -> List[str]:
     """Top-level package names under ``{src_root}/repro`` (directories
     containing an ``__init__.py``)."""
@@ -207,6 +243,7 @@ def run_checks() -> List[str]:
         problems.extend(check_links(doc, text))
         problems.extend(check_imports(doc, text))
         problems.extend(check_commands(doc, text))
+        problems.extend(check_pytest_paths(doc, text))
     problems.extend(
         check_package_coverage(REPO_ROOT / "src", REPO_ROOT / "docs")
     )
