@@ -87,19 +87,26 @@ class StripedArray:
 
     def split(self, lba: int, nblocks: int) -> List[Tuple[int, int, int]]:
         """Split a logical range into ``(disk_index, physical_lba, nblocks)``
-        fragments, each contiguous on its member disk."""
+        fragments, each contiguous on its member disk.
+
+        Same mapping as :meth:`map_block`, stepped one stripe unit at a
+        time instead of re-derived for every unit."""
         if nblocks < 1:
             raise DiskError(f"nblocks must be >= 1, got {nblocks}")
-        if lba < 0 or lba + nblocks > self.total_blocks:
+        ndisks = len(self.disks)
+        if lba < 0 or lba + nblocks > self.disks[0].total_blocks * ndisks:
             raise DiskError(f"range [{lba}, {lba + nblocks}) out of array bounds")
+        unit = self.stripe_unit
+        unit_index, offset = divmod(lba, unit)
+        physical_unit, disk_index = divmod(unit_index, ndisks)
         fragments: List[Tuple[int, int, int]] = []
-        block = lba
         remaining = nblocks
         while remaining > 0:
-            disk_index, phys = self.map_block(block)
+            phys = physical_unit * unit + offset
             # Run length within the current stripe unit.
-            unit_remaining = self.stripe_unit - (block % self.stripe_unit)
-            run = min(remaining, unit_remaining)
+            run = unit - offset
+            if run > remaining:
+                run = remaining
             # Merge with previous fragment when it continues on the same disk.
             if fragments and fragments[-1][0] == disk_index and (
                 fragments[-1][1] + fragments[-1][2] == phys
@@ -108,8 +115,14 @@ class StripedArray:
                 fragments[-1] = (disk, start, length + run)
             else:
                 fragments.append((disk_index, phys, run))
-            block += run
             remaining -= run
+            # Step to the next stripe unit: round-robin to the next disk,
+            # one unit further down each disk after a full rotation.
+            offset = 0
+            disk_index += 1
+            if disk_index == ndisks:
+                disk_index = 0
+                physical_unit += 1
         return fragments
 
     def submit_range(self, lba: int, nblocks: int, is_write: bool = False) -> Event:

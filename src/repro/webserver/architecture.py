@@ -38,6 +38,10 @@ Two read-only properties make the architecture a measurable axis:
 ``live_workers``
     In-flight connections being served right now (worker threads or
     loop tasks) — the quantity ``max_concurrency`` sheds against.
+    :class:`ServerHost` keeps it as one counter for both designs:
+    :meth:`_admit` counts a connection in and :meth:`_connection_done`
+    counts it out, so every read is O(1) however many connections the
+    server has served.
 
 ``live_processes``
     Simulated processes the server currently holds — the **memory
@@ -49,14 +53,12 @@ Two read-only properties make the architecture a measurable axis:
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.cli import AssemblyBuilder, CliRuntime
 from repro.errors import ConnectionReset, ReproError
 from repro.io import FileSystem, Network, TcpListener
 from repro.rng import SeededStreams
 from repro.sim import Counter, Engine
-from repro.webserver.handlers import RequestHandlers
+from repro.webserver.handlers import Connection, RequestHandlers
 from repro.webserver.httpmsg import HttpResponse
 from repro.webserver.metrics import ServerMetrics
 
@@ -109,6 +111,8 @@ class ServerHost:
         self.peak_live_processes = 0
         #: High-water mark of :attr:`live_workers`.
         self.peak_live_workers = 0
+        # In-flight connections (excludes the acceptor and sheds).
+        self._in_flight = 0
         reg = engine.metrics
         self.metric_labels = dict(self.labels)
         self.metric_labels.update(server=self.config.host,
@@ -161,16 +165,31 @@ class ServerHost:
         raise NotImplementedError
 
     @property
-    def live_workers(self) -> int:
-        """In-flight connections being served right now."""
-        raise NotImplementedError
-
-    @property
     def live_processes(self) -> int:
         """Simulated processes this server currently holds (memory proxy)."""
         raise NotImplementedError
 
     # -- shared machinery ---------------------------------------------------
+
+    @property
+    def live_workers(self) -> int:
+        """In-flight connections being served right now."""
+        return self._in_flight
+
+    def _admit(self, socket) -> int:
+        """Register an accepted connection with the handlers and count
+        it in flight; returns the connection id ``StartListen`` takes.
+        The architecture must call :meth:`_connection_done` in the same
+        step that retires the connection's worker."""
+        conn_id = self.handlers.register(
+            Connection(socket, accepted_at=self.engine.now))
+        self._in_flight += 1
+        return conn_id
+
+    def _connection_done(self, _task=None) -> None:
+        """Count one admitted connection out of flight (also usable as
+        a :class:`~repro.sim.TaskLoop` done callback)."""
+        self._in_flight -= 1
 
     def _note_dispatch(self) -> None:
         """Update the high-water marks after admitting a connection."""

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from repro.sim import TaskLoop
 from repro.webserver.architecture import ServerHost
-from repro.webserver.handlers import Connection
 
 __all__ = ["EventLoopServer"]
 
@@ -58,18 +57,12 @@ class EventLoopServer(ServerHost):
                          labels=labels)
         self.loop = TaskLoop(engine, name="webserver.loop",
                              error_handler=self._on_task_error)
-        # In-flight connection tasks (excludes the acceptor and sheds).
-        self._in_flight = 0
 
     # -- architecture hooks -------------------------------------------------
 
     def _begin_accepting(self) -> None:
         self.loop.start(daemon=True)
         self.loop.spawn(self._acceptor(), label="acceptor")
-
-    @property
-    def live_workers(self) -> int:
-        return self._in_flight
 
     @property
     def live_processes(self) -> int:
@@ -92,18 +85,13 @@ class EventLoopServer(ServerHost):
                 self.loop.spawn(self._shed_connection(socket),
                                 label="shed")
                 continue
-            conn = Connection(socket, accepted_at=self.engine.now)
-            conn_id = self.handlers.register(conn)
-            self._in_flight += 1
+            conn_id = self._admit(socket)
             task = self.loop.spawn(
                 self.runtime.invoke(self._start_listen, [conn_id]),
                 label=f"conn-{conn_id}",
             )
             task.add_done_callback(self._connection_done)
             self._note_dispatch()
-
-    def _connection_done(self, task) -> None:
-        self._in_flight -= 1
 
     def _on_task_error(self, task) -> None:
         """A connection task died outside the managed catch blocks.

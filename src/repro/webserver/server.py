@@ -23,13 +23,12 @@ event-driven alternative is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from repro.cli import ManagedThread, MethodBuilder
+from repro.cli import MethodBuilder
 from repro.errors import ReproError
 from repro.sim import Counter
 from repro.webserver.architecture import ServerHost
-from repro.webserver.handlers import Connection
 
 __all__ = ["WebServerConfig", "ThreadPerConnectionServer",
            "build_handler_methods"]
@@ -153,9 +152,8 @@ class ThreadPerConnectionServer(ServerHost):
 
     The accept loop is its own simulation process; every admitted
     connection spawns a :class:`~repro.cli.ManagedThread` (paying the
-    CLR thread-start overhead) whose entry point is the CIL
-    ``StartListen`` method.  Memory proxy: ``1 + active_threads``
-    simulated processes.
+    CLR thread-start overhead) that runs the CIL ``StartListen`` method.
+    Memory proxy: ``1 + live_workers`` simulated processes.
     """
 
     ARCHITECTURE = "thread"
@@ -171,7 +169,6 @@ class ThreadPerConnectionServer(ServerHost):
         engine.metrics.register(self.threads_spawned.name,
                                 self.threads_spawned,
                                 **self.metric_labels)
-        self._threads: List[ManagedThread] = []
 
     # -- architecture hooks -------------------------------------------------
 
@@ -180,18 +177,9 @@ class ThreadPerConnectionServer(ServerHost):
                             daemon=True)
 
     @property
-    def active_threads(self) -> int:
-        """Worker threads still serving a connection."""
-        return sum(1 for t in self._threads if t.is_alive)
-
-    @property
-    def live_workers(self) -> int:
-        return self.active_threads
-
-    @property
     def live_processes(self) -> int:
         """The accept-loop process plus one process per live worker."""
-        return 1 + self.active_threads
+        return 1 + self._in_flight
 
     # -- the accept loop ---------------------------------------------------
 
@@ -205,12 +193,26 @@ class ThreadPerConnectionServer(ServerHost):
                 self.engine.process(self._shed_connection(socket),
                                     name="webserver.shed", daemon=True)
                 continue
-            conn = Connection(socket, accepted_at=self.engine.now)
-            conn_id = self.handlers.register(conn)
-            thread = self.runtime.create_thread(
-                self._start_listen, [conn_id], name=f"worker-{conn_id}"
-            )
-            thread.start()
-            self._threads.append(thread)
+            conn_id = self._admit(socket)
+            self.runtime.create_thread(
+                self._serve(conn_id), name=f"worker-{conn_id}"
+            ).start()
             self.threads_spawned.add()
             self._note_dispatch()
+
+    def _serve(self, conn_id: int):
+        """Worker entry: run ``StartListen`` for one connection, then
+        count it out of flight in the step that ends the thread, so an
+        accept at the same simulated instant already sees it gone.
+
+        A worker that never finishes is closed by the garbage collector
+        with ``GeneratorExit``; that is not caught, so it stays counted
+        and the count never depends on when the collector runs."""
+        try:
+            result = yield from self.runtime.invoke(self._start_listen,
+                                                    [conn_id])
+        except Exception:
+            self._connection_done()
+            raise
+        self._connection_done()
+        return result

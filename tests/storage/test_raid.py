@@ -147,3 +147,47 @@ def test_split_partitions_range_exactly(ndisks, unit, lba, nblocks):
             rebuilt.append((disk_index, phys + i))
     expected = [arr.map_block(b) for b in range(lba, lba + nblocks)]
     assert rebuilt == expected
+
+
+def _reference_split(arr, lba, nblocks):
+    """The split rule restated through ``map_block``: one fragment per
+    stripe-unit run, merged into the previous one when it continues it
+    on the same disk."""
+    fragments = []
+    block, end = lba, lba + nblocks
+    while block < end:
+        disk_index, phys = arr.map_block(block)
+        run = min(end - block, arr.stripe_unit - block % arr.stripe_unit)
+        if fragments and fragments[-1][0] == disk_index and (
+            fragments[-1][1] + fragments[-1][2] == phys
+        ):
+            fragments[-1] = (disk_index, fragments[-1][1],
+                             fragments[-1][2] + run)
+        else:
+            fragments.append((disk_index, phys, run))
+        block += run
+    return fragments
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=300),
+    st.data(),
+)
+def test_split_matches_map_block_reference(ndisks, unit, data):
+    """Property: the stepped split returns exactly the fragments (order,
+    merges, lengths) of the per-unit ``map_block`` walk, anywhere in
+    the array; ``ndisks=1`` exercises the same-disk merge."""
+    arr = make_array(Engine(), ndisks=ndisks, stripe_unit=unit)
+    total = arr.total_blocks
+    lba = data.draw(st.integers(min_value=0, max_value=total - 1), label="lba")
+    nblocks = data.draw(st.integers(min_value=1, max_value=total - lba),
+                        label="nblocks")
+    assert arr.split(lba, nblocks) == _reference_split(arr, lba, nblocks)
+    with pytest.raises(DiskError):
+        arr.split(lba, total - lba + 1)
+    with pytest.raises(DiskError):
+        arr.split(-1 - lba, nblocks)
+    with pytest.raises(DiskError):
+        arr.split(lba, 0)

@@ -6,9 +6,13 @@ event loop's headline claim: 10k+ concurrent connections in one
 simulated process.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ConnectionReset, ReproError
+from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.sim import TaskLoop
 from repro.webserver import (
     EventLoopServer,
@@ -17,6 +21,8 @@ from repro.webserver import (
     ThreadPerConnectionServer,
     WebServerConfig,
     WebServerHost,
+    WorkloadConfig,
+    WorkloadGenerator,
 )
 
 REQUESTS = [
@@ -195,3 +201,163 @@ def test_eventloop_sustains_10k_connections_in_one_process():
     assert server.peak_live_workers >= 1000
     assert server.peak_live_processes == 1
     assert server.peak_tasks >= server.peak_live_workers
+
+
+def _shadow_workers(host):
+    """Keep a test-side list of every worker thread the threaded server
+    starts, and check the server's O(1) in-flight count against a scan
+    of that list wherever the server reads it (each dispatch and each
+    shed decision) and after every engine heap entry — so a count that
+    lags the worker's exit by even one entry at the same instant fails.
+    Returns ``(shadow, alive_at_each_read)``."""
+    server, runtime, engine = host.server, host.runtime, host.engine
+    shadow, seen = [], []
+    create_thread = runtime.create_thread
+
+    def recording_create_thread(*args, **kwargs):
+        thread = create_thread(*args, **kwargs)
+        shadow.append(thread)
+        return thread
+
+    def check():
+        alive = sum(t.is_alive for t in shadow)
+        assert server.live_workers == alive, engine.now
+        assert server.live_processes == 1 + alive
+        return alive
+
+    def checked_run(until=None):
+        assert until is None
+        while engine._queue:
+            engine.step()
+            check()
+        return engine.now
+
+    runtime.create_thread = recording_create_thread
+    engine.run = checked_run
+    for hook in ("_note_dispatch", "_should_shed"):
+        def checked(original=getattr(server, hook)):
+            seen.append(check())
+            return original()
+        setattr(server, hook, checked)
+    return shadow, seen
+
+
+def test_live_worker_count_is_exact_in_closed_loop():
+    host = WebServerHost(HostConfig())
+    shadow, seen = _shadow_workers(host)
+    outcome = WorkloadGenerator(host, WorkloadConfig(
+        num_clients=8, requests_per_client=10, mean_think_time=1e-3,
+    )).run()
+    assert outcome.error_count == 0
+    assert len(shadow) == host.server.connections_accepted.value == 80
+    assert max(seen) > 1  # connections really overlapped
+    assert host.server.live_workers == 0
+    assert host.server.peak_live_processes == 1 + host.server.peak_live_workers
+
+
+def test_live_worker_count_is_exact_when_shedding():
+    host = WebServerHost(HostConfig(
+        server=WebServerConfig(max_concurrency=1)))
+    shadow, seen = _shadow_workers(host)
+    outcomes = []
+
+    def one_get(c):
+        r = yield from c.get("/images/photo1.jpg")
+        outcomes.append(r.status)
+
+    def fanout():
+        procs = [host.engine.process(one_get(host.client()))
+                 for _ in range(12)]
+        for p in procs:
+            yield p
+
+    host.engine.run_process(fanout())
+    server = host.server
+    assert server.shed.value > 0
+    assert outcomes.count(503) == server.shed.value
+    assert len(shadow) == server.connections_accepted.value
+    assert server.peak_live_workers == 1
+    assert server.live_workers == 0
+    # One shed decision per arrival, one dispatch check per admission.
+    assert len(seen) == 12 + len(shadow)
+
+
+def test_live_worker_count_is_exact_when_workers_die():
+    """Workers unwind through client resets (``net.drop`` faults, with
+    clients retrying) and through handlers that raise out of the
+    managed code; every exit must be counted out in the step that ends
+    the worker."""
+    plan = FaultPlan(seed=3, specs=(
+        FaultSpec(kind="net.drop", target="server", probability=0.2),
+    ))
+    host = WebServerHost(HostConfig(fault_plan=plan))
+    shadow, seen = _shadow_workers(host)
+    do_post = host.runtime.intrinsics["Http.DoPost"]
+    raised = []
+
+    def failing_do_post(conn_id):
+        if conn_id % 3 == 0:
+            conn = host.server.handlers.connections.pop(conn_id)
+            yield from conn.socket.close()
+            raised.append(conn_id)
+            raise RuntimeError(f"handler crash on connection {conn_id}")
+        return (yield from do_post(conn_id))
+
+    host.runtime.intrinsics["Http.DoPost"] = failing_do_post
+    outcome = WorkloadGenerator(host, WorkloadConfig(
+        num_clients=6, requests_per_client=15, get_fraction=0.5,
+        mean_think_time=1e-3, retry=RetryPolicy(max_attempts=6),
+    )).run()
+    server = host.server
+    assert raised
+    assert outcome.retries > 0
+    assert host.metrics.failure_reasons  # resets were accounted
+    dead = [t for t in shadow if not t.is_alive and not t._process.ok]
+    assert len(dead) == len(raised)
+    assert len(shadow) == server.connections_accepted.value
+    assert max(seen) > 1
+    assert server.live_workers == sum(t.is_alive for t in shadow) == 0
+
+
+def test_threaded_server_keeps_no_finished_workers():
+    """Host-independent complexity check: the in-flight count is O(1)
+    because the server holds no history of finished workers — an early
+    worker thread is garbage once the run is over."""
+    host = WebServerHost(HostConfig())
+    runtime = host.runtime
+    create_thread = runtime.create_thread
+    early = []
+
+    def recording_create_thread(*args, **kwargs):
+        thread = create_thread(*args, **kwargs)
+        if not early:
+            early.append(weakref.ref(thread))
+        return thread
+
+    runtime.create_thread = recording_create_thread
+    outcome = WorkloadGenerator(host, WorkloadConfig(
+        num_clients=16, requests_per_client=125, mean_think_time=1e-3,
+    )).run()
+    assert host.server.connections_accepted.value == 2000
+    assert outcome.error_count == 0
+    gc.collect()
+    assert early and early[0]() is None
+    assert host.server.live_workers == 0
+
+
+def test_closing_a_blocked_worker_does_not_count_it_out():
+    """A worker blocked forever is closed with ``GeneratorExit`` only
+    when the garbage collector gets to it; counting it out then would
+    make the count depend on collector timing."""
+    host = WebServerHost(HostConfig())
+    shadow, _ = _shadow_workers(host)
+
+    def silent_client():
+        # Connect and never send: the worker blocks in ReceiveRequest.
+        return (yield from host.network.connect("localhost", 5050))
+
+    host.engine.run_process(silent_client())
+    [worker] = shadow
+    assert worker.is_alive and host.server.live_workers == 1
+    worker._process.generator.close()
+    assert host.server.live_workers == 1
