@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.lattice import BOTTOM, TOP, Init, Kind, TypeVal, type_of_constant
 from repro.cli.cil import Instruction, Op
+from repro.cli.interpreter import _truncdiv, _truncrem
 from repro.cli.metadata import MethodDef
 from repro.cli.verifier import _well_formed_call_tuple
 
@@ -42,22 +43,6 @@ _CONV_KINDS = {
 _ARITH = (Op.ADD, Op.SUB, Op.MUL)
 _BITOPS = (Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR)
 _CMPS = (Op.CEQ, Op.CGT, Op.CLT)
-
-
-def _truncdiv(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q = abs(a) // abs(b)
-        return -q if (a < 0) != (b < 0) else q
-    return a / b
-
-
-def _truncrem(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        r = abs(a) % abs(b)
-        return -r if a < 0 else r
-    import math
-
-    return math.fmod(a, b)
 
 
 @dataclass(frozen=True)
@@ -120,8 +105,7 @@ class TypeFacts:
         return [pc for pc, s in enumerate(self.entry_states) if s is not None]
 
     def stack_kinds(self) -> List[Optional[Tuple[Kind, ...]]]:
-        """Per-pc entry stack types (the interpreter's debug-mode
-        contract; attached as ``method.entry_types``)."""
+        """Per-pc entry stack types (None where the pc is unreachable)."""
         return [
             None if s is None else tuple(v.kind for v in s.stack)
             for s in self.entry_states

@@ -23,7 +23,6 @@ Our VES runs verified method bodies as simulation coroutines:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -144,7 +143,6 @@ class Interpreter:
         intrinsics: Dict[str, Callable[..., Any]],
         resolver: Optional[Callable[[str], MethodDef]] = None,
         params: Optional[InterpreterParams] = None,
-        debug: Optional[bool] = None,
     ) -> None:
         self.engine = engine
         self.jit = jit
@@ -152,12 +150,6 @@ class Interpreter:
         self.intrinsics = intrinsics
         self.resolver = resolver
         self.params = params or InterpreterParams()
-        if debug is None:
-            debug = os.environ.get("REPRO_INTERP_DEBUG", "0") != "0"
-        #: Debug mode: on methods verified with ``record_types=True``,
-        #: check the runtime evaluation stack against the abstract
-        #: entry types at every dispatched pc (interpreter tier only).
-        self.debug = debug
         self.statics: Dict[str, Any] = {}
         self.instructions_executed = Counter("interp.instructions")
         self.calls = Counter("interp.calls")
@@ -233,13 +225,9 @@ class Interpreter:
             except IndexError:
                 raise StackUnderflow(f"{method.full_name}@{pc}") from None
 
-        check_types = self.debug and method.entry_types is not None
-
         while True:
             ins = body[pc]
             op = ins.op
-            if check_types:
-                self._check_entry_types(method, pc, stack)
             executed += 1
             since_yield += 1
             if since_yield >= p.dispatch_quantum:
@@ -452,37 +440,6 @@ class Interpreter:
             pc = next_pc
 
     # -- helpers --------------------------------------------------------------
-
-    def _check_entry_types(self, method: MethodDef, pc: int, stack: List[Any]) -> None:
-        """Debug mode: the runtime evaluation stack must match the
-        abstract entry types ``verify_method(..., record_types=True)``
-        recorded for this pc (⊤ and object entries match anything)."""
-        kinds = method.entry_types[pc]
-        if kinds is None:
-            raise ExecutionFault(
-                f"{method.full_name}@{pc}: debug: executing a pc the "
-                "static analysis proved unreachable"
-            )
-        if len(stack) != len(kinds):
-            raise ExecutionFault(
-                f"{method.full_name}@{pc}: debug: runtime stack depth "
-                f"{len(stack)} != analyzed depth {len(kinds)}"
-            )
-        for i, (value, kind) in enumerate(zip(stack, kinds)):
-            name = kind.name
-            if name in ("INT32", "INT64"):
-                ok = isinstance(value, int)
-            elif name == "FLOAT64":
-                ok = isinstance(value, float)
-            elif name == "STRING":
-                ok = isinstance(value, str)
-            else:  # TOP / OBJECT / BOTTOM: no runtime commitment
-                ok = True
-            if not ok:
-                raise ExecutionFault(
-                    f"{method.full_name}@{pc}: debug: stack[{i}] is "
-                    f"{type(value).__name__}, analysis says {name.lower()}"
-                )
 
     def _resolve_call(self, operand, method: MethodDef, pc: int) -> MethodDef:
         if isinstance(operand, MethodDef):

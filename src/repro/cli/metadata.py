@@ -86,10 +86,6 @@ class MethodDef:
         self.declaring_type = declaring_type
         self.handlers: List[ExceptionHandler] = list(handlers)
         self.max_stack: Optional[int] = None  # filled in by the verifier
-        #: Per-pc entry stack types from ``verify_method(...,
-        #: record_types=True)`` (None per pc = unreachable); consumed
-        #: by the interpreter's debug mode.
-        self.entry_types: Optional[List] = None
 
     def handler_for(self, pc: int, type_name: str) -> Optional["ExceptionHandler"]:
         """Innermost matching handler guarding ``pc`` (ties broken by

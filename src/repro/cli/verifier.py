@@ -78,13 +78,8 @@ def _call_effect(
     raise AssertionError("not a call instruction")  # pragma: no cover
 
 
-def verify_method(method: MethodDef, record_types: bool = False) -> int:
+def verify_method(method: MethodDef) -> int:
     """Verify ``method``; returns (and records) its max stack depth.
-
-    With ``record_types=True`` the typed abstract interpreter from
-    :mod:`repro.analysis.typeflow` also runs on success and the per-pc
-    entry stack types are attached as ``method.entry_types`` — the
-    interpreter's debug mode checks the runtime stack against them.
 
     Every failure raises :class:`VerificationError` whose message names
     the method, the failing pc and the opcode at that pc.
@@ -220,8 +215,4 @@ def verify_method(method: MethodDef, record_types: bool = False) -> int:
         flow_to(pc + 1, depth, pc, op)
 
     method.max_stack = max_stack
-    if record_types:
-        from repro.analysis.typeflow import analyze_types  # lazy: no cycle
-
-        method.entry_types = analyze_types(method).stack_kinds()
     return max_stack

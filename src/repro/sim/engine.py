@@ -10,6 +10,7 @@ experiment deterministic.
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
@@ -116,12 +117,6 @@ class Engine:
 
     # -- scheduling internals ----------------------------------------------
 
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: {delay}")
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, 1, event))
-
     def _schedule_call(self, fn: Callable[[], None], delay: float = 0.0) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
@@ -173,7 +168,7 @@ class Engine:
         else:
             # step() is explicit single-stepping: background calls run
             # unconditionally here (the only-background discard rule
-            # lives in the run() drain loops).
+            # lives in the run() drain loop).
             if kind == 2:
                 self._background -= 1
             payload()
@@ -189,7 +184,8 @@ class Engine:
         and dispatches on the heap entry's payload tag: this loop is
         the simulator's innermost hot path, and the saved call +
         isinstance per event is a measurable fraction of total wall
-        time on macro experiments.
+        time on macro experiments.  One loop serves both stop
+        conditions: without ``until`` the horizon is ``inf``.
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
@@ -197,54 +193,33 @@ class Engine:
         run_started = self._now
         queue = self._queue
         heappop = heapq.heappop
+        horizon = inf if until is None else until
         try:
-            if until is None:
-                while queue:  # unbounded drain: no per-event bound check
-                    when, _seq, kind, payload = heappop(queue)
-                    if kind == 1:
-                        self._now = when
-                        callbacks = payload.callbacks
-                        payload.callbacks = None  # mark processed
-                        if callbacks:
-                            for cb in callbacks:
-                                cb(payload)
-                        elif not payload._ok and not isinstance(payload, Process):
-                            raise payload.value
-                    elif kind == 0:
-                        self._now = when
-                        payload()
-                    else:
-                        # Background call: discarded (clock untouched)
-                        # when nothing but background work remains.
-                        self._background -= 1
-                        if len(queue) == self._background:
-                            continue
-                        self._now = when
-                        payload()
-            else:
-                while queue:
-                    if queue[0][0] > until:
-                        self._now = until
-                        return self._now
-                    when, _seq, kind, payload = heappop(queue)
-                    if kind == 1:
-                        self._now = when
-                        callbacks = payload.callbacks
-                        payload.callbacks = None  # mark processed
-                        if callbacks:
-                            for cb in callbacks:
-                                cb(payload)
-                        elif not payload._ok and not isinstance(payload, Process):
-                            raise payload.value
-                    elif kind == 0:
-                        self._now = when
-                        payload()
-                    else:
-                        self._background -= 1
-                        if len(queue) == self._background:
-                            continue
-                        self._now = when
-                        payload()
+            while queue:
+                if queue[0][0] > horizon:
+                    self._now = until
+                    return self._now
+                when, _seq, kind, payload = heappop(queue)
+                if kind == 1:
+                    self._now = when
+                    callbacks = payload.callbacks
+                    payload.callbacks = None  # mark processed
+                    if callbacks:
+                        for cb in callbacks:
+                            cb(payload)
+                    elif not payload._ok and not isinstance(payload, Process):
+                        raise payload.value
+                elif kind == 0:
+                    self._now = when
+                    payload()
+                else:
+                    # Background call: discarded (clock untouched) when
+                    # nothing but background work remains.
+                    self._background -= 1
+                    if len(queue) == self._background:
+                        continue
+                    self._now = when
+                    payload()
             if self._live_processes > 0:
                 raise DeadlockError(
                     f"{self._live_processes} live process(es) blocked forever "

@@ -136,11 +136,11 @@ class Timeout(Event):
     """An event that triggers after a fixed simulated delay.
 
     The constructor initializes fields and pushes onto the engine's
-    heap inline (no ``super().__init__`` / ``_schedule_event``
-    indirection): the interpreter's dispatch-quantum accounting makes
-    this the most-constructed object in the whole simulator.  A zero
-    delay — the common "reschedule me" idiom — skips the time
-    addition, reusing the engine's current clock value directly.
+    heap inline (no ``super().__init__`` call): the interpreter's
+    dispatch-quantum accounting makes this the most-constructed object
+    in the whole simulator.  A zero delay — the common "reschedule me"
+    idiom — skips the time addition, reusing the engine's current clock
+    value directly.
     """
 
     __slots__ = ("delay",)
@@ -165,14 +165,15 @@ class Timeout(Event):
 
 
 class _Condition(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
+    """Shared machinery for :class:`AllOf` / :class:`AnyOf`: succeed once
+    ``_remaining`` children have succeeded, fail as soon as one fails."""
 
     __slots__ = ("events", "_remaining")
 
     def __init__(self, engine: "Engine", events: List[Event]) -> None:
         super().__init__(engine)
         self.events = list(events)
-        self._remaining = len(self.events)
+        self._remaining = 1 if isinstance(self, AnyOf) else len(self.events)
         if not self.events:
             self.succeed({})
             return
@@ -181,22 +182,6 @@ class _Condition(Event):
             # processed; a merely *triggered* event (e.g. a Timeout, whose
             # value is set at creation) still delivers at its fire time.
             ev.add_callback(self._check)
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        return {ev: ev.value for ev in self.events if ev.triggered and ev.ok}
-
-
-class AllOf(_Condition):
-    """Succeeds when *all* child events have succeeded.
-
-    Fails as soon as any child fails, propagating that exception.
-    The success value is ``{event: value}`` for all children.
-    """
-
-    __slots__ = ()
 
     def _check(self, event: Event) -> None:
         if _sanitizer.active is not None:
@@ -213,6 +198,19 @@ class AllOf(_Condition):
         if self._remaining == 0:
             self.succeed(self._collect())
 
+    def _collect(self) -> dict:
+        return {ev: ev.value for ev in self.events if ev.triggered and ev.ok}
+
+
+class AllOf(_Condition):
+    """Succeeds when *all* child events have succeeded.
+
+    Fails as soon as any child fails, propagating that exception.
+    The success value is ``{event: value}`` for all children.
+    """
+
+    __slots__ = ()
+
 
 class AnyOf(_Condition):
     """Succeeds as soon as *any* child event succeeds.
@@ -223,13 +221,3 @@ class AnyOf(_Condition):
     """
 
     __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if _sanitizer.active is not None:
-            _sanitizer.active.on_condition(self, event)
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self.succeed(self._collect())

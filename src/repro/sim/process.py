@@ -22,16 +22,59 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Process"]
 
 
-class Process(Event):
+class _Coroutine:
+    """The generator driver shared by :class:`Process` and
+    :class:`~repro.sim.taskloop.Task`.
+
+    A subclass provides ``generator`` and ``engine`` and two hooks:
+    ``_on_event(event)``, the callback a yielded event wakes, and
+    ``_finish(result, error)``, called once when the generator returns
+    or raises (or yields something other than an event of its engine).
+    """
+
+    __slots__ = ()
+
+    def _step(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
+        """Advance the generator until it blocks on an event or finishes."""
+        det = _sanitizer.active
+        prev = det.enter(self) if det is not None else None
+        try:
+            try:
+                if exc is None:
+                    target = self.generator.send(value)
+                else:
+                    target = self.generator.throw(exc)
+            except StopIteration as stop:
+                self._finish(stop.value, None)
+                return
+            except BaseException as error:
+                self._finish(None, error)
+                return
+            if not isinstance(target, Event):
+                self._finish(None, SimulationError(
+                    f"{self!r} yielded {target!r}; it must yield Event instances"))
+                return
+            if target.engine is not self.engine:
+                self._finish(None, SimulationError(
+                    f"{self!r} yielded an event from a different engine"))
+                return
+            target.add_callback(self._on_event)
+        finally:
+            if det is not None:
+                det.leave(prev)
+
+
+class Process(_Coroutine, Event):
     """A running simulation process.
 
     Created via :meth:`Engine.process`; do not instantiate directly
-    except in tests.
+    except in tests.  A wake-up resumes the generator at once; when the
+    generator finishes, the process triggers itself with its outcome.
     """
 
     # ``_san_ctx`` holds the sanitizer's per-process vector-clock
     # context; the slot stays unset unless a detector is active.
-    __slots__ = ("generator", "name", "daemon", "_waiting_on", "_san_ctx")
+    __slots__ = ("generator", "name", "daemon", "_san_ctx")
 
     def __init__(
         self,
@@ -50,26 +93,19 @@ class Process(Event):
         # Daemon processes (e.g. a disk's server loop) may block forever
         # without tripping deadlock detection when the queue drains.
         self.daemon = daemon
-        self._waiting_on: Optional[Event] = None
         if not daemon:
             engine._live_processes += 1
         if _sanitizer.active is not None:
             _sanitizer.active.on_spawn(self, self.name)
         # Kick off at the current time.
-        engine._schedule_call(self._resume_first)
-
-    # -- driving ----------------------------------------------------------
+        engine._schedule_call(self._step)
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return self._value is PENDING
 
-    def _resume_first(self) -> None:
-        self._step(None, None)
-
     def _on_event(self, event: Event) -> None:
-        self._waiting_on = None
         if _sanitizer.active is not None:
             _sanitizer.active.on_wakeup(self, event)
         if event.ok:
@@ -77,49 +113,14 @@ class Process(Event):
         else:
             self._step(None, event.value)
 
-    def _retire(self) -> None:
-        """Bookkeeping when the generator finishes for any reason."""
+    def _finish(self, result: Any, error: Optional[BaseException]) -> None:
         if not self.daemon:
             self.engine._live_processes -= 1
+        if error is None:
+            self.succeed(result)
+        else:
+            self.fail(error)
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        if not self.is_alive:  # pragma: no cover - defensive
-            return
-        det = _sanitizer.active
-        prev = det.enter(self) if det is not None else None
-        try:
-            try:
-                if exc is None:
-                    target = self.generator.send(value)
-                else:
-                    target = self.generator.throw(exc)
-            except StopIteration as stop:
-                self._retire()
-                self.succeed(stop.value)
-                return
-            except BaseException as error:
-                self._retire()
-                self.fail(error)
-                return
-
-            if not isinstance(target, Event):
-                self._retire()
-                bad = SimulationError(
-                    f"process {self.name!r} yielded {target!r}; "
-                    "processes must yield Event instances"
-                )
-                self.fail(bad)
-                return
-            if target.engine is not self.engine:
-                self._retire()
-                self.fail(SimulationError("yielded an event from a different engine"))
-                return
-            self._waiting_on = target
-            target.add_callback(self._on_event)
-        finally:
-            if det is not None:
-                det.leave(prev)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         state = "alive" if self.is_alive else ("ok" if self._ok else "failed")
         return f"<Process {self.name} {state}>"

@@ -35,23 +35,28 @@ from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.sanitizer import runtime as _sanitizer
 from repro.sim.event import Event
+from repro.sim.process import _Coroutine
 
 __all__ = ["Task", "TaskLoop"]
 
 
-class Task:
+class Task(_Coroutine):
     """One coroutine scheduled on a :class:`TaskLoop`.
 
     Not an :class:`Event` (tasks are cheaper than events on purpose);
     processes that need to wait for one can yield
-    :meth:`completion_event`.
+    :meth:`TaskLoop.completion_event`.  A wake-up queues the task on its
+    loop's ready queue; when the generator finishes, the loop records
+    the outcome (:meth:`TaskLoop._finish`).
     """
 
-    __slots__ = ("generator", "label", "done", "ok", "result", "error",
-                 "_done_callbacks", "_san_ctx")
+    __slots__ = ("loop", "engine", "generator", "label", "done", "ok",
+                 "result", "error", "_done_callbacks", "_san_ctx")
 
-    def __init__(self, generator: Generator[Event, Any, Any],
+    def __init__(self, loop: "TaskLoop", generator: Generator[Event, Any, Any],
                  label: Optional[str] = None) -> None:
+        self.loop = loop
+        self.engine = loop.engine
         self.generator = generator
         self.label = label or getattr(generator, "__name__", "task")
         self.done = False
@@ -59,6 +64,19 @@ class Task:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self._done_callbacks: List[Callable[["Task"], None]] = []
+
+    def _on_event(self, event: Event) -> None:
+        if _sanitizer.active is not None:
+            _sanitizer.active.on_wakeup(self, event)
+        loop = self.loop
+        if event.ok:
+            loop._ready.append((self, event.value, None))
+        else:
+            loop._ready.append((self, None, event.value))
+        loop._wake_up()
+
+    def _finish(self, result: Any, error: Optional[BaseException]) -> None:
+        self.loop._finish(self, result, error)
 
     def add_done_callback(self, callback: Callable[["Task"], None]) -> None:
         """Run ``callback(task)`` when the task finishes (immediately if
@@ -68,7 +86,7 @@ class Task:
         else:
             self._done_callbacks.append(callback)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         state = "done" if self.done else "live"
         if self.done and not self.ok:
             state = f"failed: {self.error!r}"
@@ -133,7 +151,7 @@ class TaskLoop:
               label: Optional[str] = None) -> Task:
         """Schedule a new task; it first runs when the loop next drains
         its ready queue (same timestamp, FIFO order)."""
-        task = Task(generator, label)
+        task = Task(self, generator, label)
         if _sanitizer.active is not None:
             _sanitizer.active.on_spawn(task, task.label)
         self._live += 1
@@ -168,50 +186,10 @@ class TaskLoop:
         while True:
             while self._ready:
                 task, value, exc = self._ready.popleft()
-                self._step(task, value, exc)
+                task._step(value, exc)
             self._wake = self.engine.event()
             yield self._wake
             self._wake = None
-
-    def _step(self, task: Task, value: Any,
-              exc: Optional[BaseException]) -> None:
-        """Advance one task until it blocks on an event or finishes."""
-        det = _sanitizer.active
-        prev = det.enter(task) if det is not None else None
-        try:
-            try:
-                if exc is None:
-                    target = task.generator.send(value)
-                else:
-                    target = task.generator.throw(exc)
-            except StopIteration as stop:
-                self._finish(task, stop.value, None)
-                return
-            except BaseException as error:
-                self._finish(task, None, error)
-                return
-            if not isinstance(target, Event):
-                self._finish(task, None, SimulationError(
-                    f"task {task.label!r} yielded {target!r}; "
-                    "tasks must yield Event instances"))
-                return
-            if target.engine is not self.engine:
-                self._finish(task, None, SimulationError(
-                    f"task {task.label!r} yielded an event from a different engine"))
-                return
-            target.add_callback(lambda ev, t=task: self._resume(t, ev))
-        finally:
-            if det is not None:
-                det.leave(prev)
-
-    def _resume(self, task: Task, event: Event) -> None:
-        if _sanitizer.active is not None:
-            _sanitizer.active.on_wakeup(task, event)
-        if event.ok:
-            self._ready.append((task, event.value, None))
-        else:
-            self._ready.append((task, None, event.value))
-        self._wake_up()
 
     def _finish(self, task: Task, result: Any,
                 error: Optional[BaseException]) -> None:

@@ -19,36 +19,43 @@ implements.  It owns everything that is *not* a concurrency decision:
   architecture name so reports attribute results to the design that
   produced them.
 
-What a subclass decides is *scheduling only*, via two hooks:
+What a subclass decides is *scheduling only*.  It implements two hooks:
 
 ``_begin_accepting()``
     Called once from :meth:`start` after the handler assembly is
-    loaded and the listener is live.  Starts whatever machinery pulls
-    connections off the accept queue.
-
-``_dispatch(socket)``
-    Called (or inlined) per accepted connection: decide how the
-    CIL handler chain runs — a managed thread per connection
-    (:class:`~repro.webserver.server.ThreadPerConnectionServer`) or a
-    task on a single-process event loop
+    loaded and the listener is live.  Starts whatever pulls connections
+    off the accept queue: an accept-loop process that runs a managed
+    thread per connection
+    (:class:`~repro.webserver.server.ThreadPerConnectionServer`), or an
+    acceptor task on a single-process event loop
     (:class:`~repro.webserver.eventloop.EventLoopServer`).
 
-Two read-only properties make the architecture a measurable axis:
-
-``live_workers``
-    In-flight connections being served right now (worker threads or
-    loop tasks) — the quantity ``max_concurrency`` sheds against.
-    :class:`ServerHost` keeps it as one counter for both designs:
-    :meth:`_admit` counts a connection in and :meth:`_connection_done`
-    counts it out, so every read is O(1) however many connections the
-    server has served.
-
 ``live_processes``
-    Simulated processes the server currently holds — the **memory
-    proxy** the ``ext_arch`` experiment reports.  Thread-per-
+    Read-only: simulated processes the server currently holds — the
+    **memory proxy** the ``ext_arch`` experiment reports.  Thread-per-
     connection pays one process per in-flight connection (plus the
     acceptor); the event loop holds exactly one, no matter how many
     connections are open.
+
+For every accepted connection it does not shed (:meth:`_should_shed`),
+the accept path calls the shared bookkeeping:
+
+``_admit(socket)``
+    Registers the connection with the handlers, counts it in flight
+    and returns the connection id ``StartListen`` takes.
+
+``_note_dispatch()``
+    After the connection's worker is started: counts the accept and
+    updates the ``live_workers``/``live_processes`` high-water marks.
+
+``_connection_done()``
+    In the step that retires the connection's worker (a thread's last
+    step, or a loop task's done callback): counts it out of flight.
+
+``live_workers`` is that in-flight count (worker threads or loop
+tasks), the quantity ``max_concurrency`` sheds against.  It is one
+counter for both designs, so every read is O(1) however many
+connections the server has served.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Regression tests: every VerificationError names the failing pc and
-opcode, and ``record_types`` attaches typed entry facts."""
+opcode."""
 
 import pytest
 
-from repro.analysis.lattice import Kind
 from repro.cli.cil import Instruction, Op
 from repro.cli.metadata import MethodDef
 from repro.cli.verifier import verify_method
@@ -101,20 +100,3 @@ def test_ret_depth_error_keeps_pc():
         VerificationError, match=r"R@0: ret with stack depth 0"
     ):
         verify_method(m)
-
-
-def test_record_types_attaches_entry_types():
-    m = raw("T", [
-        (Op.LDC, 2), (Op.LDC, 3), (Op.ADD, None), (Op.RET, None),
-    ], returns=True)
-    assert m.entry_types is None
-    verify_method(m, record_types=True)
-    assert m.entry_types is not None
-    assert len(m.entry_types) == len(m.body)
-    assert m.entry_types[2] == (Kind.INT32, Kind.INT32)
-
-
-def test_verify_without_record_types_leaves_attribute_none():
-    m = raw("P", [(Op.LDC, 1), (Op.RET, None)], returns=True)
-    verify_method(m)
-    assert m.entry_types is None
