@@ -1,5 +1,9 @@
 """Tests for the statistics collectors."""
 
+import math
+import re
+
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -13,6 +17,63 @@ def test_counter_basic():
     assert c.value == 5
     with pytest.raises(SimulationError):
         c.add(-1)
+
+
+@pytest.mark.parametrize("n, expected", [
+    (True, 1),          # bool is an Integral: counts as 1
+    (np.int64(3), 3),   # NumPy integers are Integral too
+    (0, 0),
+])
+def test_counter_add_accepts_integral(n, expected):
+    c = Counter("reqs")
+    c.add(n)
+    assert c.value == expected
+    assert type(c.value) is int
+
+
+@pytest.mark.parametrize("n, message", [
+    (-1, "Counter 'reqs': add of negative -1"),
+    (np.int64(-2), "Counter 'reqs': add of negative -2"),
+    (1.5, "Counter 'reqs': add() needs an integer, got 1.5"),
+    ("3", "Counter 'reqs': add() needs an integer, got '3'"),
+    (None, "Counter 'reqs': add() needs an integer, got None"),
+])
+def test_counter_add_rejects_bad_input(n, message):
+    c = Counter("reqs")
+    c.add(2)
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        c.add(n)
+    assert c.value == 2
+
+
+@pytest.mark.parametrize("value, expected", [
+    (2.5, 2.5),
+    (math.inf, math.inf),      # infinite is accepted; only NaN is not
+    (-math.inf, -math.inf),
+    (np.float64(0.25), 0.25),
+    (3, 3.0),
+    (True, 1.0),
+])
+def test_tally_record_accepts_real_numbers(value, expected):
+    t = Tally("lat")
+    t.record(value)
+    assert t.values == [expected]
+    assert type(t.values[0]) is float
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "Tally 'lat': NaN observation"),
+    (np.float64("nan"), "Tally 'lat': NaN observation"),
+    ("x", "Tally 'lat': non-numeric observation 'x'"),
+    (None, "Tally 'lat': non-numeric observation None"),
+])
+def test_tally_record_rejects_bad_input(value, message):
+    t = Tally("lat")
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        t.record(value)
+    assert t.count == 0
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        t.extend([value])
 
 
 def test_tally_statistics():

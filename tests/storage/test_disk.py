@@ -1,5 +1,7 @@
 """Tests for the mechanical disk model."""
 
+import re
+
 import pytest
 
 from repro.errors import DiskError
@@ -16,10 +18,12 @@ def make_disk(engine, **kwargs):
 
 
 def test_request_validation():
-    with pytest.raises(DiskError):
+    with pytest.raises(DiskError, match=r"^negative LBA: -1$"):
         IORequest(lba=-1, nblocks=1)
-    with pytest.raises(DiskError):
+    with pytest.raises(DiskError, match=r"^request must cover >= 1 block, got 0$"):
         IORequest(lba=0, nblocks=0)
+    with pytest.raises(DiskError, match=r"^request must cover >= 1 block, got -3$"):
+        IORequest(lba=5, nblocks=-3)
 
 
 def test_params_validation():
@@ -119,13 +123,40 @@ def test_out_of_range_request_rejected():
         d.submit_range(lba=SMALL_GEO.total_blocks - 1, nblocks=2)
 
 
+def test_request_ending_at_last_block_accepted():
+    eng = Engine()
+    d = make_disk(eng)
+    total = SMALL_GEO.total_blocks
+    assert d.total_blocks == total == 2000
+    last = d.submit_range(lba=total - 10, nblocks=10)
+    single = d.submit_range(lba=total - 1, nblocks=1)
+    eng.run()
+    assert last.value.end_lba == total
+    assert single.value.completed_at > last.value.completed_at
+    assert d.head_cylinder == SMALL_GEO.cylinders - 1
+
+
+@pytest.mark.parametrize("lba, nblocks", [(1991, 10), (1999, 2), (2000, 1)])
+def test_request_one_block_past_the_end_rejected(lba, nblocks):
+    eng = Engine()
+    d = make_disk(eng)
+    message = (f"request [{lba}, {lba + nblocks}) exceeds disk of "
+               f"{SMALL_GEO.total_blocks} blocks")
+    with pytest.raises(DiskError, match=f"^{re.escape(message)}$"):
+        d.submit_range(lba=lba, nblocks=nblocks)
+    assert len(d.scheduler) == 0
+
+
 def test_double_submission_rejected():
     eng = Engine()
     d = make_disk(eng)
     req = IORequest(lba=0, nblocks=1)
     d.submit(req)
-    with pytest.raises(DiskError):
+    message = f"request {req.request_id} already submitted"
+    with pytest.raises(DiskError, match=f"^{re.escape(message)}$"):
         d.submit(req)
+    eng.run()
+    assert d.requests_completed.value == 1
 
 
 def test_statistics_accumulate():
