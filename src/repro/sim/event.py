@@ -189,17 +189,20 @@ class _Condition(Event):
             # so child clocks must be accumulated explicitly for the
             # condition's eventual trigger to order after every child.
             _sanitizer.active.on_condition(self, event)
-        if self.triggered:
+        # Fields are read directly: ``event`` is dispatched, so it is
+        # triggered, and this runs once per child on the hot path.
+        if self._value is not PENDING:
             return
-        if not event.ok:
-            self.fail(event.value)
+        if not event._ok:
+            self.fail(event._value)
             return
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(self._collect())
 
     def _collect(self) -> dict:
-        return {ev: ev.value for ev in self.events if ev.triggered and ev.ok}
+        return {ev: ev._value for ev in self.events
+                if ev._value is not PENDING and ev._ok}
 
 
 class AllOf(_Condition):

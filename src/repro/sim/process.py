@@ -108,10 +108,12 @@ class Process(_Coroutine, Event):
     def _on_event(self, event: Event) -> None:
         if _sanitizer.active is not None:
             _sanitizer.active.on_wakeup(self, event)
-        if event.ok:
-            self._step(event.value, None)
+        # A dispatched event is always triggered, so its fields are read
+        # directly rather than through the ``ok``/``value`` properties.
+        if event._ok:
+            self._step(event._value, None)
         else:
-            self._step(None, event.value)
+            self._step(None, event._value)
 
     def _finish(self, result: Any, error: Optional[BaseException]) -> None:
         if not self.daemon:

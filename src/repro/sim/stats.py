@@ -38,6 +38,10 @@ class Counter:
         every collector in this module uses for bad input — callers
         can catch one exception class for all of them).
         """
+        if type(n) is int and n >= 0:
+            # Fast path: a plain non-negative int, the hot-path case.
+            self.value += n
+            return
         if not isinstance(n, numbers.Integral):
             raise SimulationError(
                 f"Counter {self.name!r}: add() needs an integer, got {n!r}"
@@ -67,10 +71,16 @@ class Tally:
         self._values.append(self._check(value))
 
     def extend(self, values: Sequence[float]) -> None:
-        """Add many observations (validated like :meth:`record`)."""
-        self._values.extend(self._check(v) for v in values)
+        """Add many observations (validated like :meth:`record`).
+
+        All or nothing: one bad value leaves the tally unchanged.
+        """
+        self._values.extend([self._check(v) for v in values])
 
     def _check(self, value: float) -> float:
+        if type(value) is float and value == value:
+            # Fast path: a plain non-NaN float, the hot-path case.
+            return value
         try:
             out = float(value)
         except (TypeError, ValueError):

@@ -119,6 +119,10 @@ class Disk:
         self.engine = engine
         self.geometry = geometry or DiskGeometry()
         self.params = params or DiskParams()
+        # The geometry is frozen: the sizes every request reads are
+        # taken from it once.
+        self.block_size: int = self.geometry.block_size
+        self.total_blocks: int = self.geometry.total_blocks
         if isinstance(scheduler, str):
             scheduler = make_scheduler(scheduler, self.geometry)
         self.scheduler: DiskScheduler = scheduler
@@ -156,14 +160,7 @@ class Disk:
             injector.register_disk(self)
 
     # -- device interface (shared with StripedArray) ------------------------
-
-    @property
-    def block_size(self) -> int:
-        return self.geometry.block_size
-
-    @property
-    def total_blocks(self) -> int:
-        return self.geometry.total_blocks
+    # ``block_size`` and ``total_blocks`` are attributes set in __init__.
 
     @property
     def head_cylinder(self) -> int:
@@ -175,25 +172,29 @@ class Disk:
         the transfer completes."""
         if self.failed:
             raise DiskFailedError(f"disk {self.name} is offline")
-        if request.end_lba > self.geometry.total_blocks:
+        lba = request.lba
+        end_lba = lba + request.nblocks
+        if end_lba > self.total_blocks:
             raise DiskError(
-                f"request [{request.lba}, {request.end_lba}) exceeds disk "
-                f"of {self.geometry.total_blocks} blocks"
+                f"request [{lba}, {end_lba}) exceeds disk "
+                f"of {self.total_blocks} blocks"
             )
-        if request.request_id in self._completions:
-            raise DiskError(f"request {request.request_id} already submitted")
-        request.submitted_at = self.engine.now
-        done = self.engine.event()
-        self._completions[request.request_id] = done
-        self.scheduler.push(request)
-        tracer = self.engine.tracer
+        request_id = request.request_id
+        completions = self._completions
+        if request_id in completions:
+            raise DiskError(f"request {request_id} already submitted")
+        engine = self.engine
+        request.submitted_at = engine.now
+        done = completions[request_id] = engine.event()
+        scheduler = self.scheduler
+        scheduler.push(request)
+        depth = scheduler.note_depth()
+        tracer = engine.tracer
         if tracer.enabled:
-            tracer.counter(f"{self.name}.queue", "storage",
-                           self.scheduler.note_depth())
-        else:
-            self.scheduler.note_depth()
-        if self._wakeup is not None:
-            wake, self._wakeup = self._wakeup, None
+            tracer.counter(f"{self.name}.queue", "storage", depth)
+        wake = self._wakeup
+        if wake is not None:
+            self._wakeup = None
             wake.succeed()
         return done
 
@@ -260,7 +261,7 @@ class Disk:
 
     def transfer_time(self, nblocks: int) -> float:
         """Media transfer cost for ``nblocks`` consecutive blocks."""
-        return nblocks * self.geometry.block_size / self.params.transfer_rate
+        return nblocks * self.block_size / self.params.transfer_rate
 
     def is_sequential(self, request: IORequest) -> bool:
         """True when ``request`` continues exactly where the previous
@@ -273,29 +274,54 @@ class Disk:
 
         A sequential continuation pays only controller overhead and
         media transfer; a random request adds seek + rotation.
+
+        The arm calls this once per request, so :meth:`is_sequential`
+        and :meth:`transfer_time` are inlined with the same
+        expressions.
         """
-        if self.is_sequential(request):
-            return self.params.controller_overhead + self.transfer_time(request.nblocks)
-        target = self.geometry.cylinder_of(request.lba)
+        p = self.params
+        lba = request.lba
+        transfer = request.nblocks * self.block_size / p.transfer_rate
+        if lba == self._last_end_lba:
+            return p.controller_overhead + transfer
+        target = self.geometry.cylinder_of(lba)
         return (
-            self.params.controller_overhead
+            p.controller_overhead
             + self.seek_time(self._head_cylinder, target)
             + self.rotational_latency()
-            + self.transfer_time(request.nblocks)
+            + transfer
         )
 
     # -- the arm -------------------------------------------------------------
 
     def _arm(self):
+        # The arm runs once per request: everything it reads that cannot
+        # change while the disk lives is bound to a local once.  The
+        # head position, the stream end and the injector stay attributes
+        # (``fail_disk``/``repair`` and the fault rules act on them).
+        engine = self.engine
+        scheduler = self.scheduler
+        completions = self._completions
+        cylinder_of = self.geometry.cylinder_of
+        service_time = self.service_time
+        block_size = self.block_size
+        record_busy = self.busy.record
+        add_completed = self.requests_completed.add
+        add_read = self.bytes_read.add
+        add_written = self.bytes_written.add
+        record_service = self.service_times.record
+        record_response = self.response_times.record
+        new_event = engine.event
+        timeout = engine.timeout
         while True:
-            if self.scheduler.empty:
-                self._wakeup = self.engine.event()
-                self.busy.record(0.0)
+            if len(scheduler) == 0:
+                self._wakeup = new_event()
+                record_busy(0.0)
                 yield self._wakeup
-            self.busy.record(1.0)
-            request = self.scheduler.pop(self._head_cylinder)
-            request.started_at = self.engine.now
-            service = self.service_time(request)
+            record_busy(1.0)
+            request = scheduler.pop(self._head_cylinder)
+            started = request.started_at = engine.now
+            service = service_time(request)
             fault = None
             if self._injector is not None:
                 fault = self._injector.disk_fault(
@@ -306,54 +332,57 @@ class Disk:
                         service *= spec.slow_factor
                     elif kind == "disk.stall":
                         service += spec.delay
-            yield self.engine.timeout(service)
+            yield timeout(service)
             # Head ends at the cylinder holding the request's last block.
-            self._head_cylinder = self.geometry.cylinder_of(request.end_lba - 1)
-            self._last_end_lba = request.end_lba
-            request.completed_at = self.engine.now
+            nblocks = request.nblocks
+            end_lba = request.lba + nblocks
+            self._head_cylinder = cylinder_of(end_lba - 1)
+            self._last_end_lba = end_lba
+            now = request.completed_at = engine.now
 
             # fail_disk() may have claimed the completion mid-service.
-            done = self._completions.pop(request.request_id, None)
+            done = completions.pop(request.request_id, None)
             if done is None:
                 continue
 
             if fault is not None and fault[0] == "disk.media_error":
                 self.media_errors.add()
                 self._last_end_lba = None  # the stream broke; reposition
-                tracer = self.engine.tracer
+                tracer = engine.tracer
                 if tracer.enabled:
                     tracer.complete(
                         f"disk.{'write' if request.is_write else 'read'}",
-                        "storage", request.started_at,
+                        "storage", started,
                         device=self.name, lba=request.lba,
-                        nblocks=request.nblocks, error="MediaError",
+                        nblocks=nblocks, error="MediaError",
                     )
                 done.add_callback(lambda ev: None)
                 done.fail(MediaError(
                     f"disk {self.name}: unrecoverable read at lba "
-                    f"{request.lba}+{request.nblocks}"
+                    f"{request.lba}+{nblocks}"
                 ))
                 continue
 
-            nbytes = request.nblocks * self.geometry.block_size
-            self.requests_completed.add()
+            add_completed()
             if request.is_write:
-                self.bytes_written.add(nbytes)
+                add_written(nblocks * block_size)
             else:
-                self.bytes_read.add(nbytes)
-            self.service_times.record(request.service_time)
-            self.response_times.record(request.response_time)
-            tracer = self.engine.tracer
+                add_read(nblocks * block_size)
+            # The same subtractions as IORequest.service_time and
+            # response_time, on the timestamps just set.
+            record_service(now - started)
+            record_response(now - request.submitted_at)
+            tracer = engine.tracer
             if tracer.enabled:
                 tracer.complete(
                     f"disk.{'write' if request.is_write else 'read'}",
-                    "storage", request.started_at,
+                    "storage", started,
                     device=self.name, lba=request.lba,
-                    nblocks=request.nblocks,
-                    wait_ms=round((request.started_at - request.submitted_at) * 1e3, 6),
+                    nblocks=nblocks,
+                    wait_ms=round((started - request.submitted_at) * 1e3, 6),
                 )
                 tracer.counter(f"{self.name}.queue", "storage",
-                               len(self.scheduler))
+                               len(scheduler))
             done.succeed(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -10,6 +10,7 @@ cylinder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from repro.errors import DiskError
@@ -23,6 +24,10 @@ class DiskGeometry:
 
     Defaults give an ~37 GB disk with 512 B blocks — a plausible 2004
     desktop drive (the paper's test machine era).
+
+    The derived sizes are computed on first use and cached: the fields
+    are frozen, and :meth:`cylinder_of` reads them on every disk
+    request.
     """
 
     cylinders: int = 60_000
@@ -35,11 +40,11 @@ class DiskGeometry:
             if getattr(self, name) < 1:
                 raise DiskError(f"{name} must be >= 1, got {getattr(self, name)}")
 
-    @property
+    @cached_property
     def blocks_per_cylinder(self) -> int:
         return self.heads * self.sectors_per_track
 
-    @property
+    @cached_property
     def total_blocks(self) -> int:
         return self.cylinders * self.blocks_per_cylinder
 

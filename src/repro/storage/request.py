@@ -13,7 +13,7 @@ __all__ = ["IORequest"]
 _request_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class IORequest:
     """One block-granular request against a disk or array.
 
@@ -29,12 +29,15 @@ class IORequest:
     submitted_at / started_at / completed_at:
         Simulated timestamps filled in by the disk as the request moves
         through the queue; ``None`` until reached.
+
+    The class is slotted: one is built per member-disk request, and it
+    takes no attributes beyond the fields above.
     """
 
     lba: int
     nblocks: int
     is_write: bool = False
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=_request_ids.__next__)
     submitted_at: Optional[float] = None
     started_at: Optional[float] = None
     completed_at: Optional[float] = None

@@ -73,7 +73,8 @@ def test_tally_record_rejects_bad_input(value, message):
         t.record(value)
     assert t.count == 0
     with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
-        t.extend([value])
+        t.extend([1.0, 2.0, value])
+    assert t.count == 0  # all or nothing
 
 
 def test_tally_statistics():

@@ -26,6 +26,24 @@ def test_request_validation():
         IORequest(lba=5, nblocks=-3)
 
 
+def test_request_is_slotted():
+    req = IORequest(lba=3, nblocks=2)
+    assert not hasattr(req, "__dict__")
+    with pytest.raises(AttributeError):
+        req.owner = "cache"
+    assert IORequest(lba=0, nblocks=1).request_id > req.request_id
+
+
+def test_disk_reads_geometry_sizes():
+    eng = Engine()
+    d = make_disk(eng)
+    assert (d.block_size, d.total_blocks) == (SMALL_GEO.block_size,
+                                              SMALL_GEO.total_blocks)
+    assert d.geometry.cylinder_of(SMALL_GEO.total_blocks - 1) == 99
+    with pytest.raises(DiskError, match=r"^LBA 2000 out of range \[0, 2000\)$"):
+        d.geometry.cylinder_of(SMALL_GEO.total_blocks)
+
+
 def test_params_validation():
     with pytest.raises(DiskError):
         DiskParams(rpm=0)
@@ -85,6 +103,26 @@ def test_single_request_timing():
     )  # head starts at cylinder 0 → no seek
     assert req.service_time == pytest.approx(expected)
     assert req.completed_at == pytest.approx(expected)
+
+
+def test_service_time_is_the_sum_of_the_public_costs():
+    """service_time inlines is_sequential and transfer_time; the sum
+    must stay exactly the public methods' sum, RNG draw included."""
+    import numpy as np
+
+    params = DiskParams(deterministic=False)
+    d = make_disk(Engine(), params=params, rng=np.random.default_rng(3))
+    twin = make_disk(Engine(), params=params, rng=np.random.default_rng(3))
+    req = IORequest(lba=SMALL_GEO.lba_of(40, 1, 0), nblocks=6)
+    assert not d.is_sequential(req)
+    assert d.service_time(req) == (
+        params.controller_overhead + twin.seek_time(0, 40)
+        + twin.rotational_latency() + twin.transfer_time(6))
+    d._last_end_lba = req.lba
+    assert d.is_sequential(req)
+    assert d.service_time(req) == params.controller_overhead + d.transfer_time(6)
+    # The sequential path draws nothing: both streams are still in step.
+    assert d.rotational_latency() == twin.rotational_latency()
 
 
 def test_head_moves_to_request_cylinder():
