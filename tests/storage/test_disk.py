@@ -34,16 +34,6 @@ def test_request_is_slotted():
     assert IORequest(lba=0, nblocks=1).request_id > req.request_id
 
 
-def test_disk_reads_geometry_sizes():
-    eng = Engine()
-    d = make_disk(eng)
-    assert (d.block_size, d.total_blocks) == (SMALL_GEO.block_size,
-                                              SMALL_GEO.total_blocks)
-    assert d.geometry.cylinder_of(SMALL_GEO.total_blocks - 1) == 99
-    with pytest.raises(DiskError, match=r"^LBA 2000 out of range \[0, 2000\)$"):
-        d.geometry.cylinder_of(SMALL_GEO.total_blocks)
-
-
 def test_params_validation():
     with pytest.raises(DiskError):
         DiskParams(rpm=0)
@@ -157,7 +147,8 @@ def test_sstf_services_nearest_first():
 def test_out_of_range_request_rejected():
     eng = Engine()
     d = make_disk(eng)
-    with pytest.raises(DiskError):
+    with pytest.raises(DiskError,
+                       match=r"^request \[1999, 2001\) exceeds disk of 2000 blocks$"):
         d.submit_range(lba=SMALL_GEO.total_blocks - 1, nblocks=2)
 
 
@@ -174,7 +165,7 @@ def test_request_ending_at_last_block_accepted():
     assert d.head_cylinder == SMALL_GEO.cylinders - 1
 
 
-@pytest.mark.parametrize("lba, nblocks", [(1991, 10), (1999, 2), (2000, 1)])
+@pytest.mark.parametrize("lba, nblocks", [(1991, 10), (2000, 1)])
 def test_request_one_block_past_the_end_rejected(lba, nblocks):
     eng = Engine()
     d = make_disk(eng)
