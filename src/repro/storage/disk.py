@@ -119,10 +119,6 @@ class Disk:
         self.engine = engine
         self.geometry = geometry or DiskGeometry()
         self.params = params or DiskParams()
-        # The geometry is frozen: the sizes every request reads are
-        # taken from it once.
-        self.block_size: int = self.geometry.block_size
-        self.total_blocks: int = self.geometry.total_blocks
         if isinstance(scheduler, str):
             scheduler = make_scheduler(scheduler, self.geometry)
         self.scheduler: DiskScheduler = scheduler
@@ -160,7 +156,14 @@ class Disk:
             injector.register_disk(self)
 
     # -- device interface (shared with StripedArray) ------------------------
-    # ``block_size`` and ``total_blocks`` are attributes set in __init__.
+
+    @property
+    def block_size(self) -> int:
+        return self.geometry.block_size
+
+    @property
+    def total_blocks(self) -> int:
+        return self.geometry.total_blocks
 
     @property
     def head_cylinder(self) -> int:
@@ -174,10 +177,11 @@ class Disk:
             raise DiskFailedError(f"disk {self.name} is offline")
         lba = request.lba
         end_lba = lba + request.nblocks
-        if end_lba > self.total_blocks:
+        total_blocks = self.geometry.total_blocks
+        if end_lba > total_blocks:
             raise DiskError(
                 f"request [{lba}, {end_lba}) exceeds disk "
-                f"of {self.total_blocks} blocks"
+                f"of {total_blocks} blocks"
             )
         request_id = request.request_id
         completions = self._completions
@@ -261,7 +265,7 @@ class Disk:
 
     def transfer_time(self, nblocks: int) -> float:
         """Media transfer cost for ``nblocks`` consecutive blocks."""
-        return nblocks * self.block_size / self.params.transfer_rate
+        return nblocks * self.geometry.block_size / self.params.transfer_rate
 
     def is_sequential(self, request: IORequest) -> bool:
         """True when ``request`` continues exactly where the previous
@@ -274,22 +278,15 @@ class Disk:
 
         A sequential continuation pays only controller overhead and
         media transfer; a random request adds seek + rotation.
-
-        The arm calls this once per request, so :meth:`is_sequential`
-        and :meth:`transfer_time` are inlined with the same
-        expressions.
         """
-        p = self.params
-        lba = request.lba
-        transfer = request.nblocks * self.block_size / p.transfer_rate
-        if lba == self._last_end_lba:
-            return p.controller_overhead + transfer
-        target = self.geometry.cylinder_of(lba)
+        if self.is_sequential(request):
+            return self.params.controller_overhead + self.transfer_time(request.nblocks)
+        target = self.geometry.cylinder_of(request.lba)
         return (
-            p.controller_overhead
+            self.params.controller_overhead
             + self.seek_time(self._head_cylinder, target)
             + self.rotational_latency()
-            + transfer
+            + self.transfer_time(request.nblocks)
         )
 
     # -- the arm -------------------------------------------------------------
@@ -302,9 +299,10 @@ class Disk:
         engine = self.engine
         scheduler = self.scheduler
         completions = self._completions
-        cylinder_of = self.geometry.cylinder_of
+        geometry = self.geometry
+        cylinder_of = geometry.cylinder_of
         service_time = self.service_time
-        block_size = self.block_size
+        block_size = geometry.block_size
         record_busy = self.busy.record
         add_completed = self.requests_completed.add
         add_read = self.bytes_read.add

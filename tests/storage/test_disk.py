@@ -95,26 +95,6 @@ def test_single_request_timing():
     assert req.completed_at == pytest.approx(expected)
 
 
-def test_service_time_is_the_sum_of_the_public_costs():
-    """service_time inlines is_sequential and transfer_time; the sum
-    must stay exactly the public methods' sum, RNG draw included."""
-    import numpy as np
-
-    params = DiskParams(deterministic=False)
-    d = make_disk(Engine(), params=params, rng=np.random.default_rng(3))
-    twin = make_disk(Engine(), params=params, rng=np.random.default_rng(3))
-    req = IORequest(lba=SMALL_GEO.lba_of(40, 1, 0), nblocks=6)
-    assert not d.is_sequential(req)
-    assert d.service_time(req) == (
-        params.controller_overhead + twin.seek_time(0, 40)
-        + twin.rotational_latency() + twin.transfer_time(6))
-    d._last_end_lba = req.lba
-    assert d.is_sequential(req)
-    assert d.service_time(req) == params.controller_overhead + d.transfer_time(6)
-    # The sequential path draws nothing: both streams are still in step.
-    assert d.rotational_latency() == twin.rotational_latency()
-
-
 def test_head_moves_to_request_cylinder():
     eng = Engine()
     d = make_disk(eng)

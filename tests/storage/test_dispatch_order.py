@@ -2,14 +2,16 @@
 
 Every entry the engine pops is hashed as ``(time, seq, kind, label)``.
 The label names what the entry wakes: the process or task for a bare
-call, and for an event its type plus the owner of each callback.  The
-hashes below pin the whole dispatch sequence of QCRD on the
-``ApplicationExecutor`` -> ``StripedArray`` -> ``Disk`` path and of a
-small single-disk ``TraceReplayer`` run, which reaches the disk
-through the buffer cache and the file system.  A change to the
-per-request disk path that keeps what is simulated leaves every hash
-as it is; a reordering of two same-time entries, an extra event or a
-lost one changes it.
+call, and for an event its type plus the process or task behind each
+callback.  A callback with no named owner counts only by its type
+(``function``, ``method``), so renaming or moving code leaves the
+label as it is.  The hashes below pin the whole dispatch sequence of
+QCRD on the ``ApplicationExecutor`` -> ``StripedArray`` -> ``Disk``
+path and of a small single-disk ``TraceReplayer`` run, which reaches
+the disk through the buffer cache and the file system.  A change to
+the per-request disk path that keeps what is simulated leaves every
+hash as it is; a reordering of two same-time entries, an extra event
+or a lost one changes it.
 """
 
 from __future__ import annotations
@@ -29,24 +31,24 @@ from repro.units import MiB
 #: (entries dispatched, sha256 of the sequence) per run.
 EXPECTED = {
     "qcrd-disks2": (
-        125391, "6af8a8dd7b637d653c5e6e33e8d8ca948252c5e0a511e4f326d66f94dec0bd3f"),
+        125391, "11e178ef454acb1075909229394dfe26f5e2e16340a9435e30061cb9b54c3d66"),
     "qcrd-disks8": (
-        131085, "9a0f604adb9c3cc1778b7a420a5a369ca98a475ce83e7123b627a7ddcf05025c"),
+        131085, "55c61c29e7a9c22d1f69d5a7586dc671bbd116c18fe5bd19a2cbf4d640ffba2d"),
     "qcrd-cpus4": (
-        5370, "0104a6433f6bcdf5b51238e81d9339c84a931d0f658a05fffbac1eb62b3a8d26"),
+        5370, "12eab916575813c68fa8bc3399adf84e4018bd05952439110eec38d348e0a26f"),
     "replay-1disk": (
         3599, "acf744e513615065c4cb0da68f18ebef5b8192ef3f35fd2a4e74bbeb6b0913af"),
 }
 
 
 def _owner(fn) -> str:
-    """Process name, task label or qualified name of a callable."""
+    """Process name or task label behind a callable, else its type."""
     owner = getattr(fn, "__self__", None)
     for attr in ("name", "label"):
         name = getattr(owner, attr, None)
         if isinstance(name, str):
             return name
-    return getattr(fn, "__qualname__", type(fn).__name__)
+    return type(fn).__name__
 
 
 def _label(kind: int, payload) -> str:
