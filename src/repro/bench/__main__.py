@@ -14,9 +14,11 @@
     python -m repro.bench ext_cluster --sanitize     # race detector on
 
 Simulated metrics are deterministic, so ``--jobs N`` output is
-byte-identical to a serial run (wall seconds aside).  Tracing and
-telemetry force ``--jobs 1``: a single collector cannot span
-processes.
+byte-identical to a serial run; ``--json`` and ``--baseline-out`` hold
+no wall time.  ``--wallclock-append`` is the one wall-time record: a
+JSON line of per-experiment seconds with the date, Python version,
+host CPU and commit.  Tracing and telemetry force ``--jobs 1``: a
+single collector cannot span processes.
 
 ``--telemetry-out`` samples each telemetry-aware experiment's metrics
 registry on simulated time into a windowed series file (render it with
@@ -32,10 +34,40 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import time
 
 from repro.bench.experiments import ALL_EXPERIMENTS, run_experiment
 from repro.bench.report import render_table
+
+
+def _host_provenance() -> dict:
+    """Where a wall-clock row was measured: ``python``, ``cpu`` and,
+    when the source tree is a git checkout, ``commit``."""
+    cpu = ""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    cpu = cpu or platform.processor() or platform.machine()
+    out = {"python": platform.python_version(), "cpu": cpu}
+    try:
+        git = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return out
+    if git.returncode == 0 and git.stdout.strip():
+        out["commit"] = git.stdout.strip()
+    return out
 
 
 def main(argv=None) -> int:
@@ -78,9 +110,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--baseline-out",
         dest="baseline_out",
-        help="write a machine-readable metric snapshot for the "
-        "regression gate (python -m repro.obs gate); includes an "
-        "informational wall_clock section",
+        help="write a deterministic metric snapshot for the exact "
+        "behaviour gate (python -m repro.obs gate)",
     )
     parser.add_argument(
         "--telemetry-out",
@@ -103,8 +134,9 @@ def main(argv=None) -> int:
         "--wallclock-append",
         dest="wallclock_append",
         metavar="PATH",
-        help="append one JSON line of per-experiment wall seconds to "
-        "PATH (the committed BENCH_wallclock.jsonl trajectory)",
+        help="append one JSON line of per-experiment wall seconds, with "
+        "the date, Python version, host CPU and commit, to PATH (the "
+        "committed BENCH_wallclock.jsonl trajectory)",
     )
     parser.add_argument(
         "--sanitize",
@@ -185,9 +217,7 @@ def main(argv=None) -> int:
         blocks.append(block)
         results.append(result)
         wall_seconds[exp_id] = elapsed
-        entry = result.to_dict()
-        entry["wall_seconds"] = round(elapsed, 3)
-        dumps.append(entry)
+        dumps.append(result.to_dict())
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -199,8 +229,7 @@ def main(argv=None) -> int:
         from repro.obs.report import write_baseline
 
         doc = write_baseline(args.baseline_out, results,
-                             label=" ".join(exp_ids),
-                             wall_seconds=wall_seconds)
+                             label=" ".join(exp_ids))
         n_metrics = sum(len(e["metrics"]) for e in doc["experiments"].values())
         print(f"wrote baseline for {len(doc['experiments'])} experiments "
               f"({n_metrics} metrics) to {args.baseline_out}")
@@ -210,6 +239,7 @@ def main(argv=None) -> int:
             "jobs": args.jobs,
             "experiments": {k: round(v, 3) for k, v in wall_seconds.items()},
             "total_wall_seconds": round(sum(wall_seconds.values()), 3),
+            **_host_provenance(),
         }
         with open(args.wallclock_append, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(line, sort_keys=True) + "\n")

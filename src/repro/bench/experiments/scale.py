@@ -15,8 +15,8 @@ canary).  Three phases:
   template-compiled tier carries the run.
 
 Simulated results are deterministic (seeded workload, virtual clock);
-the experiment's *wall* time is what ``--jobs``/``wall_clock``
-baselines track.
+the experiment's *wall* time is tracked in the ``--wallclock-append``
+trajectory (``BENCH_wallclock.jsonl``).
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def run_ext_scale(
         f"{instructions} CIL instructions — the JIT's compiled tier "
         "dominates the wall-time profile",
         "simulated metrics are deterministic; wall time for this experiment "
-        "is tracked in the baseline's informational wall_clock section",
+        "is tracked in the BENCH_wallclock.jsonl trajectory",
     ]
     return ExperimentResult(
         exp_id="ext_scale",

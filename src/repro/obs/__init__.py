@@ -17,7 +17,7 @@ subsystem rather than per-module ad-hoc counters:
   critical path, percentiles, utilization and a directly-follows
   graph; ``python -m repro.obs report`` renders it, and
   ``python -m repro.obs gate`` compares two bench baseline snapshots
-  and fails on regression.
+  field for field and fails on any difference.
 
 Turn the whole stack on with one line::
 

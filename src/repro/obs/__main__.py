@@ -9,11 +9,12 @@
 
     python -m repro.bench --baseline-out BENCH_now.json
     python -m repro.obs gate --baseline BENCH_seed.json \
-        --candidate BENCH_now.json --threshold 10%
+        --candidate BENCH_now.json
 
 Exit codes: ``report`` and ``timeline`` return 0 (2 on unreadable or
-invalid input); ``gate`` returns 0 when no metric regresses beyond the
-threshold, 1 when one does, 2 on unreadable/invalid baselines.
+invalid input); ``gate`` returns 0 when the two baselines' experiments
+are identical, 1 when any field differs or exists on one side only, 2
+on unreadable/invalid baselines.
 
 See docs/observability.md ("Analysis & regression gate", "Time series,
 SLOs & alerts") for the report sections, the baseline and series
@@ -33,7 +34,6 @@ from repro.obs.report import (
     analysis_to_dict,
     gate_compare,
     load_baseline,
-    parse_threshold,
     render_gate_report,
     render_timeline_report,
     render_trace_report,
@@ -86,20 +86,14 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 def _cmd_gate(args: argparse.Namespace) -> int:
     try:
-        threshold = parse_threshold(args.threshold)
-        wall_threshold = (
-            parse_threshold(args.wall_threshold)
-            if args.wall_threshold else None
-        )
         baseline = load_baseline(args.baseline)
         candidate = load_baseline(args.candidate)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    findings = gate_compare(baseline, candidate, threshold=threshold,
-                            wall_threshold=wall_threshold)
-    print(render_gate_report(findings, threshold, verbose=args.verbose))
-    return 1 if any(f.regression for f in findings) else 0
+    findings = gate_compare(baseline, candidate)
+    print(render_gate_report(findings))
+    return 1 if findings else 0
 
 
 def main(argv=None) -> int:
@@ -135,20 +129,13 @@ def main(argv=None) -> int:
     timeline.set_defaults(fn=_cmd_timeline)
 
     gate = sub.add_parser(
-        "gate", help="compare two bench baselines; nonzero on regression"
+        "gate", help="compare two bench baselines exactly; nonzero on "
+        "any difference"
     )
     gate.add_argument("--baseline", required=True,
                       help="reference snapshot (e.g. BENCH_seed.json)")
     gate.add_argument("--candidate", required=True,
                       help="snapshot from the current tree")
-    gate.add_argument("--threshold", default="10%",
-                      help="relative regression threshold, e.g. 10%% or 0.1")
-    gate.add_argument("--wall-threshold", default=None,
-                      help="opt in to gating the informational wall_clock "
-                      "section at this threshold (e.g. 50%%); off by default "
-                      "because wall time is host-dependent")
-    gate.add_argument("--verbose", action="store_true",
-                      help="also print metrics that did not move")
     gate.set_defaults(fn=_cmd_gate)
 
     args = parser.parse_args(argv)

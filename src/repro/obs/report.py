@@ -10,13 +10,12 @@ Two faces on top of :mod:`repro.obs.analysis`:
 
 * the **baseline/gate workflow** — ``python -m repro.bench ...
   --baseline-out BENCH_<name>.json`` snapshots every experiment's key
-  metrics (mean/min/max and histogram-derived percentiles per numeric
-  column) into a versioned JSON document; ``python -m repro.obs gate
-  --baseline A.json --candidate B.json --threshold 10%`` compares two
-  snapshots and exits nonzero when any metric *regresses* beyond the
-  threshold.  Each metric carries a direction (``lower_is_better``
-  for latencies, ``higher_is_better`` for speedups/hit ratios), so an
-  improvement never fails the gate — it is reported, not punished.
+  metrics (count/mean/min/max and histogram-derived percentiles per
+  numeric column) into a versioned, deterministic JSON document;
+  ``python -m repro.obs gate --baseline A.json --candidate B.json``
+  compares two snapshots field for field and exits nonzero on any
+  difference, in either direction.  Simulated metrics are
+  deterministic, so a run of an unchanged model matches exactly.
 
 The committed ``BENCH_seed.json`` is the repo's reference snapshot;
 CI regenerates a candidate and runs the gate against it.
@@ -46,7 +45,6 @@ __all__ = [
     "GateFinding",
     "gate_compare",
     "render_gate_report",
-    "parse_threshold",
 ]
 
 _MS = 1e3
@@ -512,18 +510,12 @@ def result_metrics(result: Any) -> Dict[str, Dict[str, Any]]:
     return out
 
 
-def build_baseline(
-    results: Iterable[Any],
-    label: str = "",
-    wall_seconds: Optional[Dict[str, float]] = None,
-) -> dict:
+def build_baseline(results: Iterable[Any], label: str = "") -> dict:
     """Versioned, machine-readable snapshot of many experiment results.
 
-    ``wall_seconds`` maps experiment id → host wall-clock seconds for
-    the run that produced it.  It lands in a top-level ``wall_clock``
-    section, *outside* ``experiments`` — informational by default, so
-    the simulated-metric gate never fails on a noisy host.  Pass
-    ``wall_threshold`` to :func:`gate_compare` to opt in to gating it.
+    Every field is simulated and deterministic, so two runs of the same
+    tree write the same bytes.  Host wall time is recorded only in the
+    ``--wallclock-append`` trajectory.
     """
     experiments: Dict[str, dict] = {}
     for result in results:
@@ -534,28 +526,17 @@ def build_baseline(
             "title": result.title,
             "metrics": metrics,
         }
-    doc = {
+    return {
         "schema": BASELINE_SCHEMA,
         "version": BASELINE_VERSION,
         "label": label,
         "experiments": experiments,
     }
-    if wall_seconds:
-        doc["wall_clock"] = {
-            exp_id: round(float(seconds), 3)
-            for exp_id, seconds in sorted(wall_seconds.items())
-        }
-    return doc
 
 
-def write_baseline(
-    path: str,
-    results: Iterable[Any],
-    label: str = "",
-    wall_seconds: Optional[Dict[str, float]] = None,
-) -> dict:
+def write_baseline(path: str, results: Iterable[Any], label: str = "") -> dict:
     """Build and write a baseline; returns the document."""
-    doc = build_baseline(results, label=label, wall_seconds=wall_seconds)
+    doc = build_baseline(results, label=label)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -582,154 +563,57 @@ def load_baseline(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Regression gate
+# Exact behaviour gate
 # ---------------------------------------------------------------------------
-
-#: Statistics compared by the gate, in report order.
-_GATE_STATS = ("mean", "p99")
-
 
 @dataclass(frozen=True)
 class GateFinding:
-    """One compared metric statistic."""
+    """One difference between two baselines, named by its JSON path
+    (``exp.metrics.metric.stat``).  ``only_in`` is ``"baseline"`` or
+    ``"candidate"`` when the path exists on one side only."""
 
-    exp_id: str
-    metric: str
-    stat: str  # "mean" | "p99" | "<presence>"
-    baseline: Optional[float]
-    candidate: Optional[float]
-    direction: str
-    regression: bool
-
-    @property
-    def delta_rel(self) -> Optional[float]:
-        if self.baseline is None or self.candidate is None:
-            return None
-        base = max(abs(self.baseline), 1e-12)
-        return (self.candidate - self.baseline) / base
+    path: str
+    baseline: Any = None
+    candidate: Any = None
+    only_in: Optional[str] = None
 
     def render(self) -> str:
-        tag = "REGRESSION" if self.regression else "ok"
-        if self.delta_rel is None:
-            return (f"{tag:<10} {self.exp_id}.{self.metric} [{self.stat}] "
-                    f"missing on one side")
-        return (
-            f"{tag:<10} {self.exp_id}.{self.metric} [{self.stat}] "
-            f"{self.baseline:.6g} -> {self.candidate:.6g} "
-            f"({self.delta_rel:+.1%}, {self.direction})"
-        )
+        if self.only_in is not None:
+            return f"{self.path}: only in {self.only_in}"
+        return f"{self.path}: {self.baseline!r} -> {self.candidate!r}"
 
 
-def gate_compare(
-    baseline: dict,
-    candidate: dict,
-    threshold: float = 0.10,
-    wall_threshold: Optional[float] = None,
-) -> List[GateFinding]:
-    """Compare two baseline documents metric by metric.
+def _diff(path: str, base: Any, cand: Any, out: List[GateFinding]) -> None:
+    if isinstance(base, dict) and isinstance(cand, dict):
+        for key in sorted(set(base) | set(cand)):
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in cand:
+                out.append(GateFinding(sub, only_in="baseline"))
+            elif key not in base:
+                out.append(GateFinding(sub, only_in="candidate"))
+            else:
+                _diff(sub, base[key], cand[key], out)
+    elif json.dumps(base, sort_keys=True) != json.dumps(cand, sort_keys=True):
+        # Compared as serialised JSON, so 1 vs 1.0 and NaN are exact too.
+        out.append(GateFinding(path, base, cand))
 
-    A metric statistic regresses when it moves beyond ``threshold``
-    (relative) in the metric's *bad* direction — up for
-    ``lower_is_better``, down for ``higher_is_better``.  Experiments
-    or metrics present in the baseline but missing from the candidate
-    are structural regressions; metrics new in the candidate are
-    ignored (they have nothing to regress from).
 
-    The ``wall_clock`` section is informational and skipped by
-    default; passing ``wall_threshold`` opts in to comparing it (its
-    entries never produce ``<presence>`` findings — wall numbers are
-    host-dependent and may legitimately be absent).
+def gate_compare(baseline: dict, candidate: dict) -> List[GateFinding]:
+    """Every difference between two baselines' ``experiments`` sections.
+
+    Simulated metrics are deterministic, so the comparison is exact:
+    every field of every experiment entry (the title and each metric's
+    summary statistics and direction) is compared both ways, and an
+    experiment or metric present on one side only is a finding.  An
+    empty list means the sections are equal.
     """
-    if threshold < 0:
-        raise BenchmarkError(f"threshold must be >= 0, got {threshold}")
-    if wall_threshold is not None and wall_threshold < 0:
-        raise BenchmarkError(
-            f"wall threshold must be >= 0, got {wall_threshold}"
-        )
     findings: List[GateFinding] = []
-    base_exps = baseline["experiments"]
-    cand_exps = candidate["experiments"]
-    for exp_id in sorted(base_exps):
-        base_metrics = base_exps[exp_id].get("metrics", {})
-        cand_entry = cand_exps.get(exp_id)
-        if cand_entry is None:
-            findings.append(GateFinding(
-                exp_id, "*", "<presence>", 1.0, None,
-                "lower_is_better", True,
-            ))
-            continue
-        cand_metrics = cand_entry.get("metrics", {})
-        for metric in sorted(base_metrics):
-            base_row = base_metrics[metric]
-            cand_row = cand_metrics.get(metric)
-            direction = base_row.get("direction", "lower_is_better")
-            if cand_row is None:
-                findings.append(GateFinding(
-                    exp_id, metric, "<presence>", 1.0, None, direction, True,
-                ))
-                continue
-            for stat in _GATE_STATS:
-                bval = base_row.get(stat)
-                cval = cand_row.get(stat)
-                if bval is None or cval is None:
-                    continue
-                base_mag = max(abs(float(bval)), 1e-12)
-                delta = (float(cval) - float(bval)) / base_mag
-                worse = delta > threshold if direction == "lower_is_better" \
-                    else delta < -threshold
-                findings.append(GateFinding(
-                    exp_id, metric, stat, float(bval), float(cval),
-                    direction, worse,
-                ))
-    if wall_threshold is not None:
-        base_wall = baseline.get("wall_clock", {})
-        cand_wall = candidate.get("wall_clock", {})
-        for exp_id in sorted(base_wall):
-            bval = base_wall[exp_id]
-            cval = cand_wall.get(exp_id)
-            if cval is None:
-                continue
-            base_mag = max(abs(float(bval)), 1e-12)
-            delta = (float(cval) - float(bval)) / base_mag
-            findings.append(GateFinding(
-                exp_id, "wall_seconds", "wall", float(bval), float(cval),
-                "lower_is_better", delta > wall_threshold,
-            ))
+    _diff("", baseline["experiments"], candidate["experiments"], findings)
     return findings
 
 
-def render_gate_report(findings: Sequence[GateFinding],
-                       threshold: float, verbose: bool = False) -> str:
-    """Per-metric comparison table; regressions always shown, clean
-    rows only with ``verbose``."""
-    regressions = [f for f in findings if f.regression]
-    moved = [f for f in findings
-             if not f.regression and f.delta_rel is not None
-             and abs(f.delta_rel) > threshold]
-    lines = [
-        f"bench regression gate: {len(findings)} comparisons, "
-        f"{len(regressions)} regression(s) beyond {threshold:.0%}"
-    ]
-    for finding in regressions:
-        lines.append("  " + finding.render())
-    if moved:
-        lines.append(f"improvements/neutral moves beyond {threshold:.0%} "
-                     "(not gated):")
-        for finding in moved:
-            lines.append("  " + finding.render())
-    if verbose:
-        for finding in findings:
-            if not finding.regression and finding not in moved:
-                lines.append("  " + finding.render())
+def render_gate_report(findings: Sequence[GateFinding]) -> str:
+    """One line per difference under a count header."""
+    lines = [f"bench gate: {len(findings)} difference(s) from the baseline"]
+    lines.extend("  " + finding.render() for finding in findings)
     return "\n".join(lines)
-
-
-def parse_threshold(text: str) -> float:
-    """``"10%"`` → 0.10, ``"0.1"`` → 0.1 (both spellings accepted)."""
-    raw = text.strip()
-    try:
-        if raw.endswith("%"):
-            return float(raw[:-1]) / 100.0
-        return float(raw)
-    except ValueError:
-        raise BenchmarkError(f"bad threshold {text!r}") from None

@@ -153,7 +153,7 @@ class Store:
 
     def get(self) -> Event:
         """Event that succeeds with the next item (immediately if buffered)."""
-        ev = Event(self.engine)
+        ev = self.engine.event()
         if self._items:
             if _sanitizer.active is not None:
                 # Join the buffered putter's clock into the getter

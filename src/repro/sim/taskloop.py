@@ -165,7 +165,7 @@ class TaskLoop:
     def completion_event(self, task: Task) -> Event:
         """An engine event that mirrors ``task``'s outcome — the bridge
         for ordinary processes to wait on a task."""
-        ev = Event(self.engine)
+        ev = self.engine.event()
 
         def _mirror(t: Task) -> None:
             if t.ok:
@@ -207,7 +207,7 @@ class TaskLoop:
                 # non-Process event nobody waits on is raised by the
                 # drain loop (raising here would only fail the loop's
                 # own daemon process, which nothing observes).
-                Event(self.engine).fail(error)
+                self.engine.event().fail(error)
         for callback in task._done_callbacks:
             callback(task)
 

@@ -1,6 +1,9 @@
 """Tests for the parallel bench runner and the ext_scale experiment."""
 
 import json
+import platform
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -57,16 +60,8 @@ def test_bench_main_jobs_byte_identical(tmp_path):
                          "--baseline-out", str(serial_base)]) == 0
     assert main(_FAST + ["--jobs", "4", "--json", str(par_json),
                          "--baseline-out", str(par_base)]) == 0
-
-    def strip_wall(path):
-        doc = json.loads(path.read_text())
-        return [{k: v for k, v in e.items() if k != "wall_seconds"}
-                for e in doc]
-
-    assert strip_wall(serial_json) == strip_wall(par_json)
-    a = json.loads(serial_base.read_text())
-    b = json.loads(par_base.read_text())
-    assert a["experiments"] == b["experiments"]
+    assert serial_json.read_bytes() == par_json.read_bytes()
+    assert serial_base.read_bytes() == par_base.read_bytes()
 
 
 def test_bench_main_wallclock_append(tmp_path):
@@ -80,6 +75,16 @@ def test_bench_main_wallclock_append(tmp_path):
     entry = json.loads(lines[0])
     assert "tab1" in entry["experiments"]
     assert entry["total_wall_seconds"] >= entry["experiments"]["tab1"]
+    assert entry["python"] == platform.python_version()
+    assert isinstance(entry["cpu"], str) and entry["cpu"]
+    try:
+        git = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                             cwd=Path(main.__code__.co_filename).parent,
+                             capture_output=True, text=True)
+        commit = git.stdout.strip() if git.returncode == 0 else None
+    except OSError:
+        commit = None
+    assert entry.get("commit") == commit
 
 
 # ---------------------------------------------------------------------------

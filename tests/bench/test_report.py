@@ -99,4 +99,4 @@ def test_main_output_and_json_flags(tmp_path, capsys):
 
     data = json.loads(out_json.read_text())
     assert data[0]["exp_id"] == "tab6"
-    assert "wall_seconds" in data[0]
+    assert "wall_seconds" not in data[0]

@@ -12,7 +12,6 @@ from repro.obs.__main__ import main as obs_main
 from repro.obs.report import (
     load_baseline,
     metric_direction,
-    parse_threshold,
     render_gate_report,
     render_trace_report,
     result_metrics,
@@ -118,63 +117,161 @@ def test_bench_cli_baseline_out(tmp_path, capsys):
     assert "measured_ms" in doc["experiments"]["tab1"]["metrics"]
 
 
-# -- regression gate ---------------------------------------------------------
+# -- exact gate --------------------------------------------------------------
 
 def _baseline():
     return build_baseline([_result()], label="a")
 
 
+def _metric(doc, name="measured_ms"):
+    return doc["experiments"]["tabX"]["metrics"][name]
+
+
+def _bump_p90(doc):
+    _metric(doc)["p90"] += 0.5
+
+
+def _bump_count(doc):
+    _metric(doc)["count"] += 1
+
+
+def _lower_min(doc):
+    _metric(doc)["min"] -= 0.5
+
+
+def _raise_max(doc):
+    _metric(doc)["max"] += 0.5
+
+
+def _improve_mean_1pct(doc):
+    assert _metric(doc)["direction"] == "lower_is_better"
+    _metric(doc)["mean"] *= 0.99
+
+
+def _retitle(doc):
+    doc["experiments"]["tabX"]["title"] = "synthetic (renamed)"
+
+
+def _add_metric(doc):
+    doc["experiments"]["tabX"]["metrics"]["extra_ms"] = dict(_metric(doc))
+
+
+def _add_experiment(doc):
+    doc["experiments"]["tabY"] = copy.deepcopy(doc["experiments"]["tabX"])
+
+
+def _drop_metric(doc):
+    del doc["experiments"]["tabX"]["metrics"]["speedup"]
+
+
+def _drop_experiment(doc):
+    del doc["experiments"]["tabX"]
+
+
+#: mutation -> the one finding it must produce, as rendered.
+_MUTATIONS = {
+    "p90": (_bump_p90, "tabX.metrics.measured_ms.p90: "),
+    "count": (_bump_count, "tabX.metrics.measured_ms.count: 3 -> 4"),
+    "min": (_lower_min, "tabX.metrics.measured_ms.min: 1.0 -> 0.5"),
+    "max": (_raise_max, "tabX.metrics.measured_ms.max: 5.0 -> 5.5"),
+    "mean_1pct_better": (_improve_mean_1pct,
+                         "tabX.metrics.measured_ms.mean: 3.0 -> 2.96999"),
+    "title": (_retitle,
+              "tabX.title: 'synthetic' -> 'synthetic (renamed)'"),
+    "extra_metric": (_add_metric,
+                     "tabX.metrics.extra_ms: only in candidate"),
+    "extra_experiment": (_add_experiment, "tabY: only in candidate"),
+    "missing_metric": (_drop_metric,
+                       "tabX.metrics.speedup: only in baseline"),
+    "missing_experiment": (_drop_experiment, "tabX: only in baseline"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTATIONS))
+def test_gate_flags_each_mutation(name, tmp_path, capsys):
+    mutate, expected = _MUTATIONS[name]
+    cand = copy.deepcopy(_baseline())
+    mutate(cand)
+    findings = gate_compare(_baseline(), cand)
+    assert len(findings) == 1
+    assert findings[0].render().startswith(expected)
+
+    base_path = tmp_path / "base.json"
+    cand_path = tmp_path / "cand.json"
+    base_path.write_text(json.dumps(_baseline()))
+    cand_path.write_text(json.dumps(cand))
+    assert obs_main(["gate", "--baseline", str(base_path),
+                     "--candidate", str(cand_path)]) == 1
+    assert expected in capsys.readouterr().out
+
+
 def test_gate_identical_baselines_pass():
-    findings = gate_compare(_baseline(), _baseline(), threshold=0.10)
-    assert findings and not any(f.regression for f in findings)
+    assert gate_compare(_baseline(), _baseline()) == []
+
+
+def test_gate_ignores_sections_outside_experiments():
+    cand = _baseline()
+    cand["label"] = "b"
+    cand["wall_clock"] = {"tabX": 1.0}
+    assert gate_compare(_baseline(), cand) == []
+
+
+def test_gate_compares_leaves_as_json():
+    # 3 == 3.0 in Python, but not in the serialised baseline.
+    cand = _baseline()
+    _metric(cand)["count"] = 3.0
+    assert [f.path for f in gate_compare(_baseline(), cand)] == [
+        "tabX.metrics.measured_ms.count"]
+    nan = _baseline()
+    _metric(nan)["mean"] = float("nan")
+    assert gate_compare(nan, copy.deepcopy(nan)) == []
 
 
 def test_gate_flags_synthetic_2x_slowdown():
     slow = copy.deepcopy(_baseline())
-    metric = slow["experiments"]["tabX"]["metrics"]["measured_ms"]
+    metric = _metric(slow)
     for stat in ("mean", "min", "max", "p50", "p90", "p99"):
         metric[stat] *= 2.0
-    findings = gate_compare(_baseline(), slow, threshold=0.10)
-    bad = [f for f in findings if f.regression]
-    assert {(f.metric, f.stat) for f in bad} == {
-        ("measured_ms", "mean"), ("measured_ms", "p99"),
+    findings = gate_compare(_baseline(), slow)
+    assert {f.path for f in findings} == {
+        f"tabX.metrics.measured_ms.{stat}"
+        for stat in ("mean", "min", "max", "p50", "p90", "p99")
     }
-    assert all(f.delta_rel == pytest.approx(1.0) for f in bad)
+    assert all(f.candidate == pytest.approx(2.0 * f.baseline)
+               for f in findings)
 
 
 def test_gate_direction_awareness():
-    # A 2x *speedup drop* regresses; a 2x speedup gain does not.
+    # A speedup drop and a changed direction tag are both findings;
+    # the direction tag itself is compared like every other field.
     worse = copy.deepcopy(_baseline())
-    worse["experiments"]["tabX"]["metrics"]["speedup"]["mean"] /= 2.0
-    assert any(f.regression for f in gate_compare(_baseline(), worse))
-    better = copy.deepcopy(_baseline())
-    better["experiments"]["tabX"]["metrics"]["speedup"]["mean"] *= 2.0
-    findings = gate_compare(_baseline(), better)
-    assert not any(f.regression for f in findings)
-    # A latency *improvement* is not a regression either.
-    faster = copy.deepcopy(_baseline())
-    faster["experiments"]["tabX"]["metrics"]["measured_ms"]["mean"] /= 2.0
-    assert not any(f.regression for f in gate_compare(_baseline(), faster))
+    _metric(worse, "speedup")["mean"] /= 2.0
+    assert [f.path for f in gate_compare(_baseline(), worse)] == [
+        "tabX.metrics.speedup.mean"]
+    flipped = copy.deepcopy(_baseline())
+    _metric(flipped, "speedup")["direction"] = "lower_is_better"
+    assert [f.path for f in gate_compare(_baseline(), flipped)] == [
+        "tabX.metrics.speedup.direction"]
 
 
 def test_gate_missing_experiment_is_structural_regression():
     empty = build_baseline([])
-    findings = gate_compare(_baseline(), empty)
-    assert any(f.regression and f.stat == "<presence>" for f in findings)
-    # New experiments in the candidate are not failures.
-    assert not any(f.regression for f in gate_compare(empty, _baseline()))
+    assert [f.render() for f in gate_compare(_baseline(), empty)] == [
+        "tabX: only in baseline"]
+    assert [f.render() for f in gate_compare(empty, _baseline())] == [
+        "tabX: only in candidate"]
 
 
 def test_gate_report_and_threshold_parsing():
-    findings = gate_compare(_baseline(), _baseline(), threshold=0.10)
-    text = render_gate_report(findings, 0.10)
-    assert "0 regression(s)" in text
-    assert parse_threshold("10%") == pytest.approx(0.10)
-    assert parse_threshold("0.25") == pytest.approx(0.25)
-    with pytest.raises(BenchmarkError):
-        parse_threshold("lots")
-    with pytest.raises(BenchmarkError):
-        gate_compare(_baseline(), _baseline(), threshold=-1)
+    assert render_gate_report([]) == \
+        "bench gate: 0 difference(s) from the baseline"
+    cand = _baseline()
+    _bump_count(cand)
+    text = render_gate_report(gate_compare(_baseline(), cand))
+    assert text.splitlines() == [
+        "bench gate: 1 difference(s) from the baseline",
+        "  tabX.metrics.measured_ms.count: 3 -> 4",
+    ]
 
 
 def test_gate_cli_exit_codes(tmp_path, capsys):
@@ -184,6 +281,7 @@ def test_gate_cli_exit_codes(tmp_path, capsys):
     write_baseline(str(same), [_result()])
     assert obs_main(["gate", "--baseline", str(base),
                      "--candidate", str(same)]) == 0
+    assert "0 difference(s)" in capsys.readouterr().out
 
     slow_doc = json.loads(base.read_text())
     for metric in slow_doc["experiments"]["tabX"]["metrics"].values():
@@ -193,83 +291,51 @@ def test_gate_cli_exit_codes(tmp_path, capsys):
     slow = tmp_path / "slow.json"
     slow.write_text(json.dumps(slow_doc))
     assert obs_main(["gate", "--baseline", str(base),
-                     "--candidate", str(slow), "--threshold", "10%"]) == 1
-    assert "REGRESSION" in capsys.readouterr().out
+                     "--candidate", str(slow)]) == 1
+    assert "6 difference(s)" in capsys.readouterr().out
 
     assert obs_main(["gate", "--baseline", str(tmp_path / "none.json"),
                      "--candidate", str(base)]) == 2
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text("{not json")
+    assert obs_main(["gate", "--baseline", str(base),
+                     "--candidate", str(garbage)]) == 2
 
 
 def test_committed_seed_baseline_is_valid_and_current_tree_passes_gate():
-    """BENCH_seed.json loads, and a freshly measured subset matches it
-    within the gate threshold (the CI contract, in-process)."""
+    """BENCH_seed.json loads, and a freshly measured tab1 entry equals
+    its committed one field for field (the CI contract, in-process)."""
     from pathlib import Path
 
     from repro.bench.experiments.tables_traces import run_tab1
 
     seed_path = Path(__file__).resolve().parents[2] / "BENCH_seed.json"
     seed = load_baseline(str(seed_path))
-    assert "tab1" in seed["experiments"]
+    assert "wall_clock" not in seed
     fresh = build_baseline([run_tab1()])
-    subset = {
-        "schema": seed["schema"], "version": seed["version"], "label": "",
-        "experiments": {"tab1": seed["experiments"]["tab1"]},
-    }
-    findings = gate_compare(subset, fresh, threshold=0.10)
-    assert findings and not any(f.regression for f in findings)
-
-
-# -- wall-clock section ------------------------------------------------------
-
-def _wall_baseline(seconds):
-    return build_baseline([_result()], label="a",
-                          wall_seconds={"tabX": seconds})
-
-
-def test_baseline_records_wall_clock_section():
-    doc = _wall_baseline(1.2345678)
-    assert doc["wall_clock"] == {"tabX": 1.235}
-    # Informational only: never inside the gated experiments table.
-    assert "wall_clock" not in doc["experiments"]
+    assert set(fresh["experiments"]) == {"tab1"}
+    subset = dict(seed, experiments={"tab1": seed["experiments"]["tab1"]})
+    assert gate_compare(subset, fresh) == []
+    assert json.dumps(fresh["experiments"]["tab1"], sort_keys=True) == \
+        json.dumps(seed["experiments"]["tab1"], sort_keys=True)
 
 
 def test_baseline_omits_empty_wall_clock():
-    assert "wall_clock" not in build_baseline([_result()])
+    """Baselines carry no host wall time: only simulated metrics."""
+    doc = build_baseline([_result()])
+    assert set(doc) == {"schema", "version", "label", "experiments"}
 
 
-def test_gate_ignores_wall_clock_by_default():
-    findings = gate_compare(_wall_baseline(1.0), _wall_baseline(100.0),
-                            threshold=0.10)
-    assert not any(f.regression for f in findings)
-    assert not any(f.stat == "wall" for f in findings)
+def test_regression_gate_example_catches_slow_disk(tmp_path, capsys):
+    """examples/regression_gate.py returns 0 when the gate catches its
+    injected 8x slower disk."""
+    import importlib.util
+    from pathlib import Path
 
-
-def test_gate_wall_threshold_opt_in():
-    findings = gate_compare(_wall_baseline(1.0), _wall_baseline(2.0),
-                            threshold=0.10, wall_threshold=0.5)
-    wall = [f for f in findings if f.stat == "wall"]
-    assert len(wall) == 1 and wall[0].regression
-    assert wall[0].metric == "wall_seconds"
-    ok = gate_compare(_wall_baseline(1.0), _wall_baseline(1.2),
-                      threshold=0.10, wall_threshold=0.5)
-    assert not any(f.regression for f in ok if f.stat == "wall")
-
-
-def test_gate_wall_missing_candidate_not_structural():
-    with_wall = _wall_baseline(1.0)
-    without = build_baseline([_result()], label="a")
-    findings = gate_compare(with_wall, without,
-                            threshold=0.10, wall_threshold=0.5)
-    assert not any(f.regression for f in findings)
-
-
-def test_gate_cli_wall_threshold(tmp_path, capsys):
-    fast = tmp_path / "fast.json"
-    slow = tmp_path / "slow.json"
-    fast.write_text(json.dumps(_wall_baseline(1.0)))
-    slow.write_text(json.dumps(_wall_baseline(10.0)))
-    assert obs_main(["gate", "--baseline", str(fast),
-                     "--candidate", str(slow)]) == 0
-    assert obs_main(["gate", "--baseline", str(fast),
-                     "--candidate", str(slow),
-                     "--wall-threshold", "50%"]) == 1
+    path = Path(__file__).resolve().parents[2] / "examples" / \
+        "regression_gate.py"
+    spec = importlib.util.spec_from_file_location("regression_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(tmp_path) == 0
+    assert "gate would exit 1" in capsys.readouterr().out
