@@ -7,8 +7,9 @@ Our VES runs verified method bodies as simulation coroutines:
 * first call to a method goes through the :class:`JitCompiler` and
   pays the compile delay (the paper's warm-up effect);
 * interpretation charges ``instruction_cost`` per instruction,
-  batched into timeouts every ``dispatch_quantum`` instructions so the
-  event queue is not flooded;
+  batched into ``engine.sleep`` delays every ``dispatch_quantum``
+  instructions so the event queue is not flooded (each sleep is one
+  direct-resume heap entry, no event object);
 * ``call`` recurses into managed methods; ``callintrinsic`` enters the
   class library (managed I/O, sockets, timers) whose implementations
   are simulation coroutines registered with the runtime;
@@ -231,7 +232,7 @@ class Interpreter:
             executed += 1
             since_yield += 1
             if since_yield >= p.dispatch_quantum:
-                yield self.engine.timeout(p.instruction_cost * since_yield)
+                yield self.engine.sleep(p.instruction_cost * since_yield)
                 since_yield = 0
             next_pc = pc + 1
 
@@ -244,7 +245,7 @@ class Interpreter:
                     s = ins.operand
                     # Flush accrued time, then charge the allocation.
                     if since_yield:
-                        yield self.engine.timeout(p.instruction_cost * since_yield)
+                        yield self.engine.sleep(p.instruction_cost * since_yield)
                         since_yield = 0
                     yield from self.heap.allocate(2 * len(s))  # UTF-16
                     stack.append(s)
@@ -337,16 +338,16 @@ class Interpreter:
                         next_pc = ins.operand
                 elif op is Op.RET:
                     if since_yield:
-                        yield self.engine.timeout(p.instruction_cost * since_yield)
+                        yield self.engine.sleep(p.instruction_cost * since_yield)
                     self.instructions_executed.add(executed)
                     return pop() if method.returns else None
                 elif op is Op.THROW:
                     value = pop()
                     self.exceptions_thrown.add()
                     if since_yield:
-                        yield self.engine.timeout(p.instruction_cost * since_yield)
+                        yield self.engine.sleep(p.instruction_cost * since_yield)
                         since_yield = 0
-                    yield self.engine.timeout(p.exception_overhead)
+                    yield self.engine.sleep(p.exception_overhead)
                     if isinstance(value, ManagedException):
                         raise value
                     raise ManagedException("System.Exception", str(value), payload=value)
@@ -354,9 +355,9 @@ class Interpreter:
                     callee = self._resolve_call(ins.operand, method, pc)
                     call_args = [pop() for _ in range(callee.param_count)][::-1]
                     if since_yield:
-                        yield self.engine.timeout(p.instruction_cost * since_yield)
+                        yield self.engine.sleep(p.instruction_cost * since_yield)
                         since_yield = 0
-                    yield self.engine.timeout(p.call_overhead)
+                    yield self.engine.sleep(p.call_overhead)
                     result = yield from self.invoke(callee, call_args, _depth + 1)
                     if callee.returns:
                         stack.append(result)
@@ -369,9 +370,9 @@ class Interpreter:
                         )
                     call_args = [pop() for _ in range(argc)][::-1]
                     if since_yield:
-                        yield self.engine.timeout(p.instruction_cost * since_yield)
+                        yield self.engine.sleep(p.instruction_cost * since_yield)
                         since_yield = 0
-                    yield self.engine.timeout(p.call_overhead)
+                    yield self.engine.sleep(p.call_overhead)
                     result = fn(*call_args)
                     if hasattr(result, "send") and hasattr(result, "throw"):
                         result = yield from result
@@ -387,7 +388,7 @@ class Interpreter:
                     elem = ins.operand if isinstance(ins.operand, int) else 8
                     arr = ManagedArray(length, elem)
                     if since_yield:
-                        yield self.engine.timeout(p.instruction_cost * since_yield)
+                        yield self.engine.sleep(p.instruction_cost * since_yield)
                         since_yield = 0
                     yield from self.heap.allocate(arr.byte_size)
                     stack.append(arr)
@@ -423,16 +424,16 @@ class Interpreter:
                 if handler is None:
                     # Unwind to the caller; account for work done here.
                     if since_yield:
-                        yield self.engine.timeout(p.instruction_cost * since_yield)
+                        yield self.engine.sleep(p.instruction_cost * since_yield)
                     self.instructions_executed.add(executed)
                     raise
                 # Transfer: clear the evaluation stack, push the
                 # exception, continue at the handler.
                 self.exceptions_caught.add()
                 if since_yield:
-                    yield self.engine.timeout(p.instruction_cost * since_yield)
+                    yield self.engine.sleep(p.instruction_cost * since_yield)
                     since_yield = 0
-                yield self.engine.timeout(p.exception_overhead)
+                yield self.engine.sleep(p.exception_overhead)
                 stack.clear()
                 stack.append(exc)
                 next_pc = handler.handler_start

@@ -26,7 +26,8 @@ Compilation strategy (classic template JIT, one tier):
 Simulated-time semantics are **bit-identical** to the interpreter
 tier.  The generated code carries the same ``since_yield`` accrual the
 interpreter maintains per instruction, flushed as the same sequence of
-``engine.timeout`` events: quantum flushes of exactly
+``engine.sleep`` delays (direct resumes, no event built; the emitted
+source never names ``timeout``): quantum flushes of exactly
 ``instruction_cost × dispatch_quantum``, partial flushes before every
 call / allocation / return / managed-exception unwind.  Because pure
 arithmetic neither reads the clock nor schedules events, deferring the
@@ -296,7 +297,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
     out = _Writer()
     out.w("def _compiled(interp, args, _depth):")
     out.indent += 1
-    out.w("_timeout = interp.engine.timeout")
+    out.w("_sleep = interp.engine.sleep")
     out.w("_statics = interp.statics")
     out.w("_heap_allocate = interp.heap.allocate")
     out.w("_intrinsics = interp.intrinsics")
@@ -337,15 +338,15 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
         out.w(f"_sy += {pending}; _ex += {pending}")
         out.w("while _sy >= _Q:")
         out.indent += 1
-        out.w("yield _timeout(_ICQ)")
+        out.w("yield _sleep(_ICQ)")
         out.w("_sy -= _Q")
         out.indent -= 1
 
     def emit_partial_flush() -> None:
-        """The interpreter's ``if since_yield: timeout(...)`` flush."""
+        """The interpreter's ``if since_yield: sleep(...)`` flush."""
         out.w("if _sy:")
         out.indent += 1
-        out.w("yield _timeout(_IC * _sy)")
+        out.w("yield _sleep(_IC * _sy)")
         out.w("_sy = 0")
         out.indent -= 1
 
@@ -544,7 +545,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 pending = 0
                 track_pc(pc)
                 emit_partial_flush()
-                out.w("yield _timeout(_CO)")
+                out.w("yield _sleep(_CO)")
                 out.w("_incall = True")
                 out.w(
                     f"_r = yield from interp.invoke("
@@ -574,7 +575,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 pending = 0
                 track_pc(pc)
                 emit_partial_flush()
-                out.w("yield _timeout(_CO)")
+                out.w("yield _sleep(_CO)")
                 out.w("_incall = True")
                 out.w(f"_r = {fn}({call_args})")
                 out.w("if hasattr(_r, 'send') and hasattr(_r, 'throw'):")
@@ -606,7 +607,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
                 out.w(f"{t} = {stack.materialize(entry)}")
                 out.w("interp.exceptions_thrown.add()")
                 emit_partial_flush()
-                out.w("yield _timeout(_EO)")
+                out.w("yield _sleep(_EO)")
                 out.w(f"if isinstance({t}, ManagedException):")
                 out.indent += 1
                 out.w(f"raise {t}")
@@ -671,10 +672,10 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
         out.w("_incall = False")
         out.w("if _sy:")
         out.indent += 1
-        out.w("yield _timeout(_IC * _sy)")
+        out.w("yield _sleep(_IC * _sy)")
         out.w("_sy = 0")
         out.indent -= 1
-        out.w("yield _timeout(_EO)")
+        out.w("yield _sleep(_EO)")
         out.w("s0 = _exc")
         hb = {
             h.handler_start: block_of[h.handler_start]
@@ -690,7 +691,7 @@ def _generate(method: MethodDef, params) -> Tuple[str, _Ctx]:
     out.indent += 1
     out.w("if _sy:")
     out.indent += 1
-    out.w("yield _timeout(_IC * _sy)")
+    out.w("yield _sleep(_IC * _sy)")
     out.indent -= 1
     out.w("interp.instructions_executed.add(_ex)")
     out.w("raise")

@@ -199,7 +199,7 @@ class ClusterClient:
                     raise RetryExhausted(
                         f"write {key!r}: replica(s) {pending} kept failing "
                         f"while admitted", attempts=rounds)
-                yield self.engine.timeout(
+                yield self.engine.sleep(
                     self.balancer.config.probe_interval)
             if not succeeded:
                 raise NoReplicasAvailable(

@@ -160,7 +160,7 @@ class ClusterWorkload:
         def dispatcher():
             fired = []
             for rid in range(cfg.requests):
-                yield engine.timeout(
+                yield engine.sleep(
                     float(arrival_rng.exponential(1.0 / cfg.arrival_rate)))
                 fired.append(engine.process(one_request(),
                                             name=f"req-{rid}"))

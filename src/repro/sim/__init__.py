@@ -12,7 +12,7 @@ Quick tour::
     eng = Engine()
 
     def worker(eng, results):
-        yield eng.timeout(1.5)
+        yield eng.sleep(1.5)
         results.append(eng.now)
 
     results = []

@@ -17,7 +17,7 @@ from repro.errors import DeadlockError, SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.event import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process
+from repro.sim.process import SLEPT, Process
 
 __all__ = ["Engine"]
 
@@ -46,9 +46,10 @@ class Engine:
         # Heap items: (time, seq, kind, payload).  ``kind`` is a payload
         # tag — 1 for an Event whose callbacks should run, 0 for a bare
         # callable, 2 for a *background* callable (see
-        # :meth:`schedule_background`) — so the drain loop dispatches on
-        # an int compare instead of isinstance.  seq is unique, so kind
-        # never takes part in heap ordering.
+        # :meth:`schedule_background`), 3 for a process or task asleep
+        # in :meth:`sleep` — so the drain loop dispatches on an int
+        # compare instead of isinstance.  seq is unique, so kind never
+        # takes part in heap ordering.
         self._queue: List[Tuple[float, int, int, Any]] = []
         # Background entries currently queued; when every remaining
         # queue entry is background, they are discarded unrun so they
@@ -76,8 +77,29 @@ class Engine:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` simulated seconds from now."""
+        """An event that fires ``delay`` simulated seconds from now.
+
+        Use it where the timeout is composed as an event (an ``any_of``
+        deadline, a callback); a process that only waits uses
+        :meth:`sleep`.
+        """
         return Timeout(self, delay, value)
+
+    def sleep(self, delay: float) -> float:
+        """The delay a process or task yields to sleep for ``delay``
+        simulated seconds: ``yield engine.sleep(d)`` resumes with
+        ``None`` at ``now + d``, exactly where ``yield engine.timeout(d)``
+        would, with no event built.
+
+        The coroutine driver takes the yielded ``float`` and queues the
+        sleeper itself as a kind-3 heap entry, allocating its ``seq`` at
+        the point a ``Timeout`` would; the drain loop hands that entry
+        straight to the sleeper's wake-up hook.  A negative delay raises
+        :class:`SimulationError` here, in the caller's frame.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay!r}")
+        return float(delay)
 
     def process(
         self,
@@ -155,7 +177,9 @@ class Engine:
         if when < self._now:  # pragma: no cover - heap invariant
             raise SimulationError("time went backwards")
         self._now = when
-        if kind == 1:
+        if kind == 3:
+            payload._on_event(SLEPT)
+        elif kind == 1:
             callbacks = payload.callbacks
             payload.callbacks = None  # mark processed
             if callbacks:
@@ -178,7 +202,9 @@ class Engine:
 
         Returns the final simulated time.  Raises :class:`DeadlockError`
         if the queue empties while processes are still alive (every
-        process is blocked on an event nothing will trigger).
+        process is blocked on an event nothing will trigger), and
+        :class:`SimulationError` if ``until`` lies before ``now``: the
+        clock never runs backwards.
 
         The drain loop is inlined (rather than calling :meth:`step`)
         and dispatches on the heap entry's payload tag: this loop is
@@ -189,6 +215,9 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"run(until={until!r}) lies before now ({self._now!r})")
         self._running = True
         run_started = self._now
         queue = self._queue
@@ -200,7 +229,10 @@ class Engine:
                     self._now = until
                     return self._now
                 when, _seq, kind, payload = heappop(queue)
-                if kind == 1:
+                if kind == 3:
+                    self._now = when
+                    payload._on_event(SLEPT)
+                elif kind == 1:
                     self._now = when
                     callbacks = payload.callbacks
                     payload.callbacks = None  # mark processed

@@ -1,25 +1,35 @@
 """Processes: generator coroutines driven by the event engine.
 
 A process wraps a Python generator.  Each value the generator yields
-must be an :class:`~repro.sim.event.Event`; the process suspends until
-that event is processed, then resumes with the event's value (or with
-the event's exception thrown into the generator).  The process itself
-is an event that triggers when the generator returns (value = the
-``StopIteration`` value) or raises.
+must be an :class:`~repro.sim.event.Event` or a delay from
+:meth:`~repro.sim.engine.Engine.sleep`.  On an event the process
+suspends until that event is processed, then resumes with the event's
+value (or with the event's exception thrown into the generator); on a
+delay it resumes with ``None`` that many simulated seconds later.  The
+process itself is an event that triggers when the generator returns
+(value = the ``StopIteration`` value) or raises.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sanitizer import runtime as _sanitizer
-from repro.sim.event import Event, PENDING
+from repro.sim.event import Event, PENDING, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
-__all__ = ["Process"]
+__all__ = ["Process", "SLEPT"]
+
+#: What a direct sleep's wake-up hands ``_on_event``: one shared event,
+#: already succeeded with ``None`` and never queued, so a sleeper wakes
+#: through the same hook, with the same value, as a ``Timeout`` waiter.
+SLEPT = Event(None)
+SLEPT._value = None
+SLEPT.callbacks = None
 
 
 class _Coroutine:
@@ -27,15 +37,18 @@ class _Coroutine:
     :class:`~repro.sim.taskloop.Task`.
 
     A subclass provides ``generator`` and ``engine`` and two hooks:
-    ``_on_event(event)``, the callback a yielded event wakes, and
-    ``_finish(result, error)``, called once when the generator returns
-    or raises (or yields something other than an event of its engine).
+    ``_on_event(event)``, the callback a yielded event wakes (a sleep's
+    wake-up calls it with :data:`SLEPT`), and ``_finish(result,
+    error)``, called once when the generator returns or raises (or
+    yields something other than a sleep delay or an event of its
+    engine).
     """
 
     __slots__ = ()
 
     def _step(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
-        """Advance the generator until it blocks on an event or finishes."""
+        """Advance the generator until it sleeps, blocks on an event or
+        finishes."""
         det = _sanitizer.active
         prev = det.enter(self) if det is not None else None
         try:
@@ -50,9 +63,22 @@ class _Coroutine:
             except BaseException as error:
                 self._finish(None, error)
                 return
-            if not isinstance(target, Event):
+            if type(target) is float and target >= 0:
+                engine = self.engine
+                if det is None:
+                    # ``yield engine.sleep(d)``: queue the sleeper itself,
+                    # taking the seq the Timeout it replaces would take.
+                    engine._seq += 1
+                    heappush(engine._queue,
+                             (engine._now + target, engine._seq, 3, self))
+                    return
+                # The sanitizer stamps a Timeout with its creator's clock;
+                # build the real one so the happens-before edges stay.
+                target = Timeout(engine, target)
+            elif not isinstance(target, Event):
                 self._finish(None, SimulationError(
-                    f"{self!r} yielded {target!r}; it must yield Event instances"))
+                    f"{self!r} yielded {target!r}; it must yield an Event "
+                    "or an engine.sleep() delay"))
                 return
             if target.engine is not self.engine:
                 self._finish(None, SimulationError(

@@ -178,7 +178,7 @@ class TimeWeighted:
 
     def record(self, value: float) -> None:
         """The signal becomes ``value`` at the current simulated time."""
-        now = self.engine.now
+        now = self.engine._now  # hot path: skip the ``now`` property call
         self._area += self._last_value * (now - self._last_time)
         self._last_time = now
         self._last_value = float(value)

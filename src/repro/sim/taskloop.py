@@ -9,9 +9,10 @@ indistinguishable from thread-per-connection on that axis.
 :class:`TaskLoop` is the missing primitive: it multiplexes any number
 of coroutine *tasks* inside **one** process.  Each task is an ordinary
 simulation generator (it yields :class:`~repro.sim.event.Event`
-instances exactly as a process would); the loop steps every ready task
-until it blocks on an event, parks itself when no task is runnable,
-and is woken by the events its tasks are waiting on.  Ten thousand
+instances and :meth:`~repro.sim.engine.Engine.sleep` delays exactly as
+a process would); the loop steps every ready task until it sleeps or
+blocks on an event, parks itself when no task is runnable, and is
+woken by the sleeps and events its tasks are waiting on.  Ten thousand
 tasks cost ten thousand generators — and a single process.
 
 Determinism: tasks become ready in the order their awaited events are
@@ -69,10 +70,11 @@ class Task(_Coroutine):
         if _sanitizer.active is not None:
             _sanitizer.active.on_wakeup(self, event)
         loop = self.loop
-        if event.ok:
-            loop._ready.append((self, event.value, None))
+        # A dispatched event is triggered: read its fields directly.
+        if event._ok:
+            loop._ready.append((self, event._value, None))
         else:
-            loop._ready.append((self, None, event.value))
+            loop._ready.append((self, None, event._value))
         loop._wake_up()
 
     def _finish(self, result: Any, error: Optional[BaseException]) -> None:

@@ -188,7 +188,8 @@ class Disk:
         if request_id in completions:
             raise DiskError(f"request {request_id} already submitted")
         engine = self.engine
-        request.submitted_at = engine.now
+        # The clock is read from ``_now``: once per request, no property call.
+        request.submitted_at = engine._now
         done = completions[request_id] = engine.event()
         scheduler = self.scheduler
         scheduler.push(request)
@@ -310,7 +311,7 @@ class Disk:
         record_service = self.service_times.record
         record_response = self.response_times.record
         new_event = engine.event
-        timeout = engine.timeout
+        sleep = engine.sleep
         while True:
             if len(scheduler) == 0:
                 self._wakeup = new_event()
@@ -318,7 +319,8 @@ class Disk:
                 yield self._wakeup
             record_busy(1.0)
             request = scheduler.pop(self._head_cylinder)
-            started = request.started_at = engine.now
+            # Clock reads use ``_now``, skipping the property call per request.
+            started = request.started_at = engine._now
             service = service_time(request)
             fault = None
             if self._injector is not None:
@@ -330,13 +332,13 @@ class Disk:
                         service *= spec.slow_factor
                     elif kind == "disk.stall":
                         service += spec.delay
-            yield timeout(service)
+            yield sleep(service)
             # Head ends at the cylinder holding the request's last block.
             nblocks = request.nblocks
             end_lba = request.lba + nblocks
             self._head_cylinder = cylinder_of(end_lba - 1)
             self._last_end_lba = end_lba
-            now = request.completed_at = engine.now
+            now = request.completed_at = engine._now  # as started_at above
 
             # fail_disk() may have claimed the completion mid-service.
             done = completions.pop(request.request_id, None)

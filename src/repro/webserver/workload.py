@@ -206,7 +206,7 @@ class WorkloadGenerator:
             for _ in range(cfg.requests_per_client):
                 think = float(rng.exponential(cfg.mean_think_time)) if cfg.mean_think_time else 0.0
                 if think > 0:
-                    yield engine.timeout(think)
+                    yield engine.sleep(think)
                 yield from one_request(client, rng)
 
         if cfg.arrival == "closed":
@@ -257,7 +257,7 @@ class WorkloadGenerator:
             # request an independent one-shot client that never thinks.
             fired = []
             for rid in range(total):
-                yield engine.timeout(
+                yield engine.sleep(
                     float(arrival_rng.exponential(1.0 / cfg.arrival_rate)))
                 fired.append(engine.process(fire(rid), name=f"req-{rid}"))
             yield engine.all_of(fired)

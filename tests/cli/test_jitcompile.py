@@ -30,8 +30,9 @@ def _run(rt: CliRuntime, method, args=()):
 
 
 def _drive(rt: CliRuntime, method, args=()):
-    """Drive one invocation by hand, recording every yielded event as
-    ``(type_name, delay)`` — the full simulated-event fingerprint."""
+    """Drive one invocation by hand, recording every yielded sleep as
+    ``("sleep", delay)`` and every yielded event as ``(type_name,
+    delay)`` — the full simulated-event fingerprint."""
     # Warm the JIT so the cold-path compile events don't differ by tier
     # bookkeeping order; both tiers charge them identically anyway.
     try:
@@ -43,7 +44,10 @@ def _drive(rt: CliRuntime, method, args=()):
     try:
         while True:
             ev = gen.send(None)
-            events.append((type(ev).__name__, getattr(ev, "delay", None)))
+            if type(ev) is float:
+                events.append(("sleep", ev))
+            else:
+                events.append((type(ev).__name__, getattr(ev, "delay", None)))
     except StopIteration as stop:
         return events, stop.value
     except ManagedException as exc:

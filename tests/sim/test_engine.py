@@ -46,6 +46,25 @@ def test_run_until_stops_early():
     assert eng.now == 3.5
 
 
+def test_run_until_before_now_raises_and_keeps_the_clock():
+    eng = Engine()
+
+    def proc():
+        for _ in range(20):
+            yield eng.sleep(1.0)
+
+    eng.process(proc())
+    assert eng.run(until=12.0) == 12.0
+    with pytest.raises(SimulationError, match="before now"):
+        eng.run(until=5.0)
+    assert eng.now == 12.0
+    assert eng.run(until=12.0) == 12.0  # until == now is not a rewind
+    assert eng.run() == 20.0
+    with pytest.raises(SimulationError, match="before now"):
+        eng.run(until=19.0)  # empty queue: still no rewind
+    assert eng.now == 20.0
+
+
 def test_run_until_beyond_completion_advances_clock():
     eng = Engine()
 

@@ -13,8 +13,11 @@ The operations: schedule a timeout, create an event and later succeed
 or fail it, schedule a (possibly self-rescheduling) background call,
 spawn a process, spawn a TaskLoop task, build ``AllOf``/``AnyOf`` over
 existing events, ``run(until=t)``, ``run()`` and ``step()``.  Process
-and task bodies run a random script of sleeps, waits, conditions and
-triggers, so wake-ups also happen inside the drain loop.
+and task bodies run a random script of timeout waits, direct sleeps
+(``engine.sleep``), event waits, conditions and triggers, so wake-ups
+also happen inside the drain loop.  The model has no direct sleep: it
+sleeps on a timeout event, so the real engine's kind-3 entries must
+wake exactly where, and in the order, that timeout would.
 """
 
 from hypothesis import settings, strategies as st
@@ -257,6 +260,9 @@ class RefEngine:
         self.push(self.now + delay, "event", ev)
         return ev
 
+    def sleep(self, delay):
+        return self.timeout(delay)
+
     def process(self, generator, daemon=False):
         return RefProcess(self, generator, daemon)
 
@@ -334,6 +340,8 @@ def _body(side, tag, script, raises):
         try:
             if op == "sleep":
                 value = yield engine.timeout(arg, tag)
+            elif op == "nap":
+                value = yield engine.sleep(arg)
             elif op == "wait":
                 value = yield side.events[arg]
             elif op == "all":
@@ -359,7 +367,7 @@ RAW = st.integers(min_value=0, max_value=63)
 TICK_CAP = 500
 SCRIPTS = st.lists(
     st.one_of(
-        st.tuples(st.just("sleep"), DELAYS),
+        st.tuples(st.sampled_from(["sleep", "nap"]), DELAYS),
         st.tuples(st.sampled_from(["wait", "succeed", "fail"]), RAW),
         st.tuples(st.sampled_from(["all", "any"]), st.lists(RAW, max_size=3)),
     ),
@@ -393,7 +401,7 @@ class EngineVsModel(RuleBasedStateMachine):
         """Map raw draws onto the events that exist right now."""
         steps = []
         for op, arg in script:
-            if op == "sleep":
+            if op in ("sleep", "nap"):
                 steps.append((op, arg))
             elif op in ("all", "any"):
                 if self.real.events:
@@ -549,3 +557,18 @@ def test_clock_clamps_at_until_like_the_model():
     m.agree()
     assert m.real.engine.now == 6.0
     assert m.ref.engine.clamped == 2
+
+
+def test_direct_sleeps_dispatch_like_the_model_in_step_and_run():
+    m = EngineVsModel()
+    m.spawn_process(script=[("nap", 1.0), ("sleep", 1.0), ("nap", 0.0)],
+                    daemon=False, raises=False, observed=True)
+    m.spawn_task(script=[("nap", 1.0), ("nap", 0.5)], raises=False,
+                 watch="callback")
+    for _ in range(6):
+        m.step()
+        m.agree()
+    m.run_all()
+    m.agree()
+    naps = [rec[0] for rec in m.real.log if rec[2:3] == ("nap",)]
+    assert naps == [1.0, 1.0, 1.5, 2.0]

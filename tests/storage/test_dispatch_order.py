@@ -3,7 +3,9 @@
 Every entry the engine pops is hashed as ``(time, seq, kind, label)``.
 The label names what the entry wakes: the process or task for a bare
 call, and for an event its type plus the process or task behind each
-callback.  A callback with no named owner counts only by its type
+callback.  A direct sleep (kind 3) is written as the one-callback
+``Timeout`` entry it replaces, so the hashes pin that the sleeps wake
+the same coroutines at the same ``(time, seq)`` as the timeouts did.  A callback with no named owner counts only by its type
 (``function``, ``method``), so renaming or moving code leaves the
 label as it is.  The hashes below pin the whole dispatch sequence of
 QCRD on the ``ApplicationExecutor`` -> ``StripedArray`` -> ``Disk``
@@ -51,11 +53,17 @@ def _owner(fn) -> str:
     return type(fn).__name__
 
 
-def _label(kind: int, payload) -> str:
+def _line(when, seq, kind: int, payload) -> str:
+    if kind == 3:
+        # A direct sleep is the ``Timeout`` it replaces: same time and
+        # seq, one callback, the sleeper's wake-up.
+        return f"{when!r} {seq} 1 Timeout[{_owner(payload._on_event)}]"
     if kind == 1:
         owners = ",".join(_owner(cb) for cb in payload.callbacks or ())
-        return f"{type(payload).__name__}[{owners}]"
-    return _owner(payload)
+        label = f"{type(payload).__name__}[{owners}]"
+    else:
+        label = _owner(payload)
+    return f"{when!r} {seq} {kind} {label}"
 
 
 class DispatchLog:
@@ -66,8 +74,7 @@ class DispatchLog:
 
     def heappop(self, queue):
         entry = heapq.heappop(queue)
-        when, seq, kind, payload = entry
-        self.lines.append(f"{when!r} {seq} {kind} {_label(kind, payload)}")
+        self.lines.append(_line(*entry))
         return entry
 
     def result(self):
