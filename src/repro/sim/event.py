@@ -135,12 +135,10 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed simulated delay.
 
-    The constructor initializes fields and pushes onto the engine's
-    heap inline (no ``super().__init__`` call): the interpreter's
-    dispatch-quantum accounting makes this the most-constructed object
-    in the whole simulator.  A zero delay — the common "reschedule me"
-    idiom — skips the time addition, reusing the engine's current clock
-    value directly.
+    Its value is set at construction, so it is triggered from the start
+    and is queued at ``now + delay``.  A process that only waits out a
+    delay yields :meth:`~repro.sim.engine.Engine.sleep` instead, which
+    builds no event.
     """
 
     __slots__ = ("delay",)
@@ -148,9 +146,7 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        self.engine = engine
-        self.callbacks = []
-        self._ok = True
+        super().__init__(engine)
         self._value = value
         self.delay = delay
         if _sanitizer.active is not None:
@@ -158,10 +154,7 @@ class Timeout(Event):
             # Timeout never calls succeed(), its value is set here.
             _sanitizer.active.on_trigger(self)
         engine._seq += 1
-        heappush(
-            engine._queue,
-            (engine._now + delay if delay else engine._now, engine._seq, 1, self),
-        )
+        heappush(engine._queue, (engine._now + delay, engine._seq, 1, self))
 
 
 class _Condition(Event):
